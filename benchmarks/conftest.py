@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark suite.
 
 Every benchmark regenerates one of the paper's tables or figures at the
-``DEFAULT_SCALE`` (scaled-down analogs; see DESIGN.md), prints the
-reproduction next to the paper's reference numbers, and asserts the
-qualitative shape checks.  ``--benchmark-only`` works because each file
+``DEFAULT_SCALE`` (scaled-down analogs; see the README's "Tests and
+benchmarks"), prints the reproduction next to the paper's reference
+numbers, and asserts the qualitative shape checks.  ``--benchmark-only`` works because each file
 also times a representative kernel with pytest-benchmark.
 
 Set REPRO_BENCH_SCALE=small to run the whole suite quickly (CI smoke).

@@ -14,6 +14,6 @@ def test_table6(scale, benchmark):
         # rather than the paper's near-parity because our exact
         # occupancy filter costs 4 B/object/table — negligible against
         # the paper's 130 GB database, visible against our scaled-down
-        # ones (see DESIGN.md "Exact occupancy filter").
+        # ones (the filter is described in repro/layout/builder.py).
         assert row.e2lshos_mem_usage_bytes < 3.0 * row.srs_mem_usage_bytes, row.dataset
         assert row.srs_mem_usage_bytes < 3.0 * row.e2lshos_mem_usage_bytes, row.dataset

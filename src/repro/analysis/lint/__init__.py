@@ -1,7 +1,7 @@
 """``repro lint`` — the AST determinism & simulation-contract checker.
 
 Every guarantee this reproduction ships (one seed -> byte-identical
-``ServiceReport``, scalar-vs-vectorized byte equivalence,
+``ServiceReport``, B=1-vs-wave byte equivalence,
 observation-free tracing) rests on source-level invariants: no wall
 clock on the sim path, no global-state RNG, no unordered iteration
 feeding the event loop, the pinned completions -> flushes -> hedges ->
@@ -12,7 +12,7 @@ introduces it.
 
 - :mod:`repro.analysis.lint.base` — ``Finding``/``Rule``/registry.
 - :mod:`repro.analysis.lint.rules` — the rule set (DET001, DET002,
-  DET003, DET004, API001, SIM001).
+  DET003, API001, SIM001).
 - :mod:`repro.analysis.lint.engine` — file walking, inline
   ``# repro: allow[RULE-ID]`` suppressions, deterministic ordering.
 - :mod:`repro.analysis.lint.reporting` — text and ``repro-lint/1``

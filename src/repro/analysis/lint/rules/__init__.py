@@ -11,7 +11,6 @@ from repro.analysis.lint.rules.api001_public_all import PublicApiRule
 from repro.analysis.lint.rules.det001_wall_clock import WallClockRule
 from repro.analysis.lint.rules.det002_unseeded_rng import UnseededRngRule
 from repro.analysis.lint.rules.det003_unordered_iter import UnorderedIterationRule
-from repro.analysis.lint.rules.det004_deprecated import DeprecatedShimRule
 from repro.analysis.lint.rules.sim001_tie_order import HeapTieOrderRule
 
 __all__ = [
@@ -19,6 +18,5 @@ __all__ = [
     "WallClockRule",
     "UnseededRngRule",
     "UnorderedIterationRule",
-    "DeprecatedShimRule",
     "HeapTieOrderRule",
 ]

@@ -4,7 +4,7 @@ The paper derives these curves by *running in-memory E2LSH* and counting
 what an external-memory execution would have had to read: for every
 non-empty bucket probed, one hash-table I/O plus ``ceil(examined /
 entries_per_block)`` bucket-block I/Os.  The helpers here turn the
-per-query :class:`~repro.core.query_stats.QueryStats` records into
+per-query :class:`~repro.stats.QueryStats` records into
 average I/O counts for any block size, then into the IOPS /
 request-rate requirements of Eqs. 9-16.
 """

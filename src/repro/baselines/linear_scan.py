@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.e2lsh import QueryAnswer
-from repro.core.query_stats import OpCounts, QueryStats
+from repro.stats import OpCounts, QueryStats
 
 __all__ = ["LinearScanIndex"]
 

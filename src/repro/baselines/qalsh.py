@@ -27,7 +27,7 @@ import numpy as np
 from repro.baselines.bptree import BPlusTree, TraversalCounters
 from repro.core.collision import query_aware_collision_probability
 from repro.core.e2lsh import QueryAnswer
-from repro.core.query_stats import OpCounts, QueryStats
+from repro.stats import OpCounts, QueryStats
 from repro.utils.rng import rng_for
 
 __all__ = ["QALSHIndex", "qalsh_parameters", "DEFAULT_DELTA"]

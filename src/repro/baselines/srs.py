@@ -26,7 +26,7 @@ from scipy.stats import chi2
 
 from repro.baselines.rtree import NNCounters, RTree
 from repro.core.e2lsh import QueryAnswer
-from repro.core.query_stats import OpCounts, QueryStats
+from repro.stats import OpCounts, QueryStats
 from repro.utils.rng import rng_for
 
 __all__ = ["SRSIndex", "DEFAULT_EARLY_STOP_CONFIDENCE"]

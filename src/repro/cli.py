@@ -234,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also sample the simulator's wall-clock events/sec into a "
         "per-phase timeline (exported with --metrics-out)",
     )
-    loadtest.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="run the scalar per-sub-query dispatch path instead of "
-        "vectorized waves (same reports and traces, slower wall clock)",
-    )
 
     scenarios = sub.add_parser(
         "scenarios",
@@ -280,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="AST determinism & simulation-contract checker "
-        "(wall clock, global RNG, unordered iteration, deprecated shims, "
-        "__all__ hygiene, heap tie-order tags)",
+        "(wall clock, global RNG, unordered iteration, __all__ hygiene, "
+        "heap tie-order tags)",
     )
     lint.add_argument(
         "--root",
@@ -432,7 +426,8 @@ def _scenario_from_loadtest(args: argparse.Namespace) -> ScenarioSpec:
     """Adapt the legacy ``loadtest`` flag set into a :class:`ScenarioSpec`.
 
     The flags stay backward compatible; validation lives in the config
-    dataclasses, whose errors surface as the CLI's usual ``SystemExit``.
+    dataclasses, whose ``ValueError`` :func:`main` turns into the CLI's
+    usual one-line ``error: ...`` exit.
     """
     if args.hedge_delay_us is not None and args.routing != "hedged":
         raise SystemExit(
@@ -440,59 +435,55 @@ def _scenario_from_loadtest(args: argparse.Namespace) -> ScenarioSpec:
             f"(got --routing {args.routing})"
         )
     faults = tuple(_parse_fault(spec) for spec in args.fault)
-    try:
-        return ScenarioSpec(
-            name="loadtest",
-            data=DataConfig(
-                dataset=args.dataset,
-                n=args.n,
-                pool_queries=args.queries,
-                gamma=args.gamma,
-                s_factor=args.s_factor,
-                rho=args.rho,
-            ),
-            serving=ServingConfig(
-                n_shards=args.shards,
-                scheme=args.scheme,
-                device=args.device,
-                devices_per_shard=args.devices_per_shard,
-                interface=args.interface,
-                workers_per_shard=args.workers,
-                replicas=args.replicas,
-                routing=args.routing,
-                hedge_delay_us=args.hedge_delay_us,
-                max_batch=args.batch,
-                batch_delay_us=args.batch_delay_us,
-                queue_capacity=args.queue_capacity,
-            ),
-            workload=WorkloadSpec(
-                mode=args.mode,
-                requests=args.requests,
-                qps=args.qps,
-                # The legacy CLI ignores --arrivals in closed mode; the
-                # spec layer rejects the combination, so drop it here.
-                shape=args.arrivals if args.mode == "open" else "poisson",
-                zipf_s=args.zipf,
-                concurrency=args.concurrency,
-                ingest_requests=args.ingest_requests,
-                ingest_qps=args.ingest_qps,
-                delete_fraction=args.delete_fraction,
-            ),
-            faults=FaultTimeline(events=faults),
-            seed=args.seed,
-            k=args.k,
-            target_p99_ms=args.target_p99_ms,
-        )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}") from error
+    return ScenarioSpec(
+        name="loadtest",
+        data=DataConfig(
+            dataset=args.dataset,
+            n=args.n,
+            pool_queries=args.queries,
+            gamma=args.gamma,
+            s_factor=args.s_factor,
+            rho=args.rho,
+        ),
+        serving=ServingConfig(
+            n_shards=args.shards,
+            scheme=args.scheme,
+            device=args.device,
+            devices_per_shard=args.devices_per_shard,
+            interface=args.interface,
+            workers_per_shard=args.workers,
+            replicas=args.replicas,
+            routing=args.routing,
+            hedge_delay_us=args.hedge_delay_us,
+            max_batch=args.batch,
+            batch_delay_us=args.batch_delay_us,
+            queue_capacity=args.queue_capacity,
+        ),
+        workload=WorkloadSpec(
+            mode=args.mode,
+            requests=args.requests,
+            qps=args.qps,
+            # The legacy CLI ignores --arrivals in closed mode; the
+            # spec layer rejects the combination, so drop it here.
+            shape=args.arrivals if args.mode == "open" else "poisson",
+            zipf_s=args.zipf,
+            concurrency=args.concurrency,
+            ingest_requests=args.ingest_requests,
+            ingest_qps=args.ingest_qps,
+            delete_fraction=args.delete_fraction,
+        ),
+        faults=FaultTimeline(events=faults),
+        seed=args.seed,
+        k=args.k,
+        target_p99_ms=args.target_p99_ms,
+    )
 
 
 def _describe_deployment(spec: ScenarioSpec) -> str:
     serving = spec.serving
     workload = spec.workload
     if workload.mode == "open":
-        shape = workload.shape if workload.shape != "poisson" else "poisson"
-        offered = f"offered {workload.qps:,.0f} q/s ({shape})"
+        offered = f"offered {workload.qps:,.0f} q/s ({workload.shape})"
     else:
         offered = f"closed loop, {workload.concurrency} clients"
     faulty = f", {len(spec.faults)} fault(s)" if spec.faults else ""
@@ -523,7 +514,6 @@ def _cmd_loadtest(args: argparse.Namespace, out) -> int:
         metrics_interval_ns=(
             args.metrics_interval_us * NS_PER_US if args.metrics_out else None
         ),
-        vectorize=not args.no_vectorize,
         profile_interval_ns=(
             args.profile_interval_us * NS_PER_US
             if args.profile_interval_us is not None
@@ -566,12 +556,7 @@ def _cmd_scenarios(args: argparse.Namespace, out) -> int:
             spec = build_scenario(name, quick=True)
             out.write(f"{name:22s} {spec.description}\n")
         return 0
-    specs: list[ScenarioSpec] = []
-    try:
-        for name in args.name:
-            specs.append(build_scenario(name, quick=args.quick))
-    except ValueError as error:
-        raise SystemExit(f"error: {error}") from error
+    specs = [build_scenario(name, quick=args.quick) for name in args.name]
     for path in args.spec:
         try:
             with open(path) as handle:
@@ -617,10 +602,7 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
         out.write(describe_rules() + "\n")
         return 0
     root = Path(args.root) if args.root is not None else Path(__file__).resolve().parent
-    try:
-        result = run_lint(root, rule_ids=args.select or None)
-    except ValueError as error:
-        raise SystemExit(f"error: {error}") from error
+    result = run_lint(root, rule_ids=args.select or None)
     if args.format == "json":
         json.dump(to_json(result), out, indent=1, sort_keys=True)
         out.write("\n")
@@ -643,22 +625,27 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "info":
-        return _cmd_info(out)
-    if args.command == "build":
-        return _cmd_build(args, out)
-    if args.command == "query":
-        return _cmd_query(args, out)
-    if args.command == "analyze":
-        return _cmd_analyze(args, out)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args, out)
-    if args.command == "scenarios":
-        return _cmd_scenarios(args, out)
-    if args.command == "lint":
-        return _cmd_lint(args, out)
-    if args.command == "report":
-        return _cmd_report(args, out)
+    try:
+        if args.command == "info":
+            return _cmd_info(out)
+        if args.command == "build":
+            return _cmd_build(args, out)
+        if args.command == "query":
+            return _cmd_query(args, out)
+        if args.command == "analyze":
+            return _cmd_analyze(args, out)
+        if args.command == "loadtest":
+            return _cmd_loadtest(args, out)
+        if args.command == "scenarios":
+            return _cmd_scenarios(args, out)
+        if args.command == "lint":
+            return _cmd_lint(args, out)
+        if args.command == "report":
+            return _cmd_report(args, out)
+    except ValueError as error:
+        # Out-of-range numerics and unknown names are rejected by the
+        # library's own validation; the CLI reports them in one line.
+        raise SystemExit(f"error: {error}") from error
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
-from repro.core.query_stats import QueryStats
+from repro.stats import QueryStats
 from repro.core.radii import RadiusLadder
 
 __all__ = ["E2LSHIndex", "QueryAnswer", "GroupedTable"]

@@ -21,7 +21,6 @@ memory-mapped baseline of Sec. 6.5.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +30,7 @@ from repro.analysis.machine_model import DEFAULT_MACHINE, MachineModel
 from repro.core.e2lsh import QueryAnswer
 from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
-from repro.core.query_stats import OpCounts, QueryStats
+from repro.stats import OpCounts, QueryStats
 from repro.core.radii import RadiusLadder
 from repro.layout.bucket import NULL_ADDRESS, decode_block
 from repro.layout.builder import BuiltIndex, IndexBuilder, TableHandle
@@ -578,22 +577,3 @@ class E2LSHoSIndex:
             stall_ns=max(0.0, clock - compute_ns),
         )
         return BatchResult(answers=answers, engine=synthesized)
-
-    def run_mmap_sync(
-        self,
-        queries: np.ndarray,
-        cache: PageCache,
-        k: int = 1,
-    ) -> tuple[list[QueryAnswer], float]:
-        """Deprecated alias for ``run(queries, mode="mmap_sync", cache=cache)``.
-
-        Returns the legacy ``(answers, total_simulated_ns)`` pair; new
-        code should call :meth:`run` and read the :class:`BatchResult`.
-        """
-        warnings.warn(
-            "run_mmap_sync is deprecated; use run(queries, mode='mmap_sync', cache=cache)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        batch = self.run(queries, k=k, mode="mmap_sync", cache=cache)
-        return batch.answers, batch.engine.makespan_ns

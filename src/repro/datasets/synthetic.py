@@ -4,7 +4,8 @@ Design rules:
 
 - dimensionality and value type follow the paper (large d values are
   scaled down by a constant factor so the pure-Python reproduction stays
-  fast; the scaling is recorded in DESIGN.md),
+  fast; ``DATASET_SPECS`` keeps the paper's ``paper_d`` next to each
+  analog),
 - hardness is controlled by the cluster structure: tight, well-separated
   clusters give high Relative Contrast and low LID (MSONG, SIFT, MNIST,
   BIGANN), while structureless data gives RC near 1 and LID near d

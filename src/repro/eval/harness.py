@@ -15,7 +15,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.query_stats import QueryStats
+from repro.stats import QueryStats
 
 __all__ = ["MethodRun", "TunedMethod", "tune_to_ratio", "DEFAULT_TARGET_RATIO"]
 

@@ -30,7 +30,7 @@ from repro.core.e2lsh import E2LSHIndex
 from repro.core.e2lshos import BatchResult, E2LSHoSIndex
 from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
-from repro.core.query_stats import QueryStats
+from repro.stats import QueryStats
 from repro.core.radii import RadiusLadder
 from repro.datasets.base import Dataset
 from repro.datasets.registry import DATASET_SPECS

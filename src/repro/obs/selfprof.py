@@ -8,11 +8,12 @@ is the perf figure the ROADMAP tracks as a committed trajectory
 
 :class:`LoopProfile` counts each event the service loop processes by
 type (completion / flush / hedge / arrival / update) — plain integer
-increments,
-cheap enough to leave always-on — and brackets the run with
-``time.perf_counter`` for the wall-clock rate.  The per-type counts are
-deterministic for a given seed; the wall-clock figures obviously are
-not, which is why they live in the metrics export, never in the trace.
+increments, cheap enough to leave always-on — and brackets the run
+with ``time.perf_counter`` for the wall-clock rate.  Entries popped
+off the event heap *stale* are not events and are not counted.  The
+per-type counts are deterministic for a given seed; the wall-clock
+figures obviously are not, which is why they live in the metrics
+export, never in the trace.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ class LoopProfile:
         #: Engine-session resumptions (a task running until it parks or
         #: finishes) — the dominant event type at load.
         self.engine_steps = 0
+        #: Time-trigger events; one releases every lane due at that instant.
         self.flushes = 0
+        #: Hedge timers fired (or suppressed), one per timer — timers due
+        #: at the same instant are separate events.
         self.hedges = 0
         self.arrivals = 0
         #: Arrivals shed by admission control (subset of ``arrivals``).

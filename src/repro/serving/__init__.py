@@ -15,9 +15,10 @@ index CPU/IOPS-bound; this package puts a *service* in front of it:
   optional Zipf-skewed query reuse) and closed-loop workloads.
 - :mod:`repro.serving.stats` — throughput, latency percentiles, queue
   depth, per-replica IOPS and activity, and hedge win/loss accounting.
-- :mod:`repro.serving.events` — the named event-class tie-order tags
-  (``EVENT_COMPLETION`` ... ``EVENT_UPDATE``) every serving heap
-  entry carries; ``repro lint`` rule SIM001 enforces the shape.
+- :mod:`repro.serving.events` — the run's one event heap: entry shape
+  and the named tie-order tags (``EVENT_COMPLETION`` ...
+  ``EVENT_UPDATE``) every entry carries; ``repro lint`` rule SIM001
+  enforces the shape.
 - :mod:`repro.serving.ingest` — streaming insert/delete traffic as a
   second traffic class: per-shard DRAM delta tables and tombstones
   queried alongside the static index, plus background merge/compaction
@@ -70,7 +71,6 @@ from repro.serving.replication import (
     ReplicaGroup,
     ReplicaRouter,
     RoutingConfig,
-    StallingDevice,
     TimelineDevice,
 )
 from repro.serving.events import (
@@ -138,7 +138,6 @@ __all__ = [
     "Shard",
     "ShardPlan",
     "ShardedIndex",
-    "StallingDevice",
     "TIE_ORDER",
     "TimelineDevice",
     "UpdateArrival",

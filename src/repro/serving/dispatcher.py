@@ -25,6 +25,12 @@ its lane (it never reaches the device); once in flight its completion
 is simply discarded.  Both outcomes are counted
 (:class:`~repro.serving.stats.ServiceStats`), because hedging spends
 duplicate IOPS to buy tail latency and the exchange rate matters.
+
+The dispatcher keeps no clock and no timer queue of its own.  It posts
+lane flush deadlines, hedge deadlines, and session wake-ups to the
+run's one event heap (:mod:`repro.serving.events`) and the service loop
+calls back — :meth:`Dispatcher.flush_due`, :meth:`Dispatcher.fire_hedge`
+— when a posted entry that is still live comes up.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.serving.events import EVENT_FLUSH, EVENT_HEDGE
+from repro.serving.events import EVENT_COMPLETION, EVENT_FLUSH, EVENT_HEDGE, Event
 from repro.serving.replication import ReplicaRouter, RoutingConfig
 from repro.serving.sharding import ShardedIndex
 from repro.serving.stats import ServiceStats
@@ -75,11 +81,15 @@ class _Lane:
     """Per-replica admission queue.
 
     ``pending`` holds ``(query_id, query, k, enqueue_ns)`` in enqueue
-    order, so the time-trigger deadline is always the *oldest surviving*
-    entry's — cancelling a hedge loser out of the middle (or the front)
-    of the queue never distorts younger entries' batching windows.
-    Query *tasks* are planned at flush time, not admission time: a full
-    lane flushes as one vectorized wave
+    order, so the time trigger is always the *oldest surviving* entry's
+    enqueue time plus ``max_delay_ns`` — cancelling a hedge loser out of
+    the middle (or the front) of the queue never distorts younger
+    entries' batching windows.  Whenever the oldest entry changes while
+    the lane stays non-empty (first enqueue, front entry cancelled) the
+    dispatcher posts the new deadline as an ``EVENT_FLUSH``; deadlines
+    posted for earlier fronts go stale and are skipped when popped.
+    Query *tasks* are planned at flush time, not admission time: a lane
+    always flushes as one planned wave
     (:meth:`~repro.core.e2lshos.E2LSHoSIndex.query_tasks`), and a task
     is pure planning until the engine steps it, so deferring creation
     has zero simulated effect.
@@ -88,16 +98,11 @@ class _Lane:
     pending: list[tuple[int, Any, int, float]] = field(default_factory=list)
     outstanding: int = 0
 
-    @property
-    def deadline_ns(self) -> float:
-        return self.pending[0][3] if self.pending else math.inf
-
 
 @dataclass
 class _HedgeState:
     """One armed hedge timer (per admitted sub-query)."""
 
-    deadline_ns: float
     primary: int
     query: np.ndarray
     k: int
@@ -116,37 +121,26 @@ class Dispatcher:
         sessions: Sequence[EngineSession] | Sequence[Sequence[EngineSession]],
         config: DispatchConfig,
         stats: ServiceStats,
+        events: list[Event],
         routing: RoutingConfig | None = None,
         tracer: Tracer = NULL_TRACER,
-        vectorize: bool = True,
     ) -> None:
         self.sharded = sharded
         self.sessions = self._check_sessions(sharded, sessions)
         self.config = config
         self.stats = stats
+        #: The run's event heap (owned by the service loop); see
+        #: :mod:`repro.serving.events` for what is posted to it.
+        self._events = events
         self.routing = routing or RoutingConfig()
         self.tracer = tracer
-        #: Flush full lanes as one planned wave (``query_tasks`` +
-        #: ``submit_batch``).  ``False`` keeps the scalar per-sub-query
-        #: path; both produce byte-identical reports and traces.
-        self.vectorize = vectorize
         self.router = ReplicaRouter(self.routing, n_shards=sharded.n_shards)
         self._lanes = [[_Lane() for _ in row] for row in self.sessions]
-        #: Total queued (unflushed) sub-queries across all lanes.
-        self._pending_count = 0
-        #: Lane time-trigger deadlines, lazily revalidated against the
-        #: lanes on peek (a cancelled front entry re-keys its lane).
-        #: Entries are ``(deadline_ns, EVENT_FLUSH, shard, replica)``
-        #: per the serving.events tie-order tagging contract (SIM001).
-        self._flush_heap: list[tuple[float, int, int, int]] = []
         #: (query_id, shard) -> admission time, for hedge-anchor latencies.
         self._admit_ns: dict[tuple[int, int], float] = {}
         #: (query_id, shard) -> armed hedge timer.
         self._hedges: dict[tuple[int, int], _HedgeState] = {}
-        #: Hedge timers ordered by deadline (lazily pruned).  Entries
-        #: are ``(deadline_ns, EVENT_HEDGE, seq, key)`` — see
-        #: serving.events (SIM001).
-        self._hedge_heap: list[tuple[float, int, int, tuple[int, int]]] = []
+        #: Arming order; breaks ties between timers due at one instant.
         self._hedge_seq = 0
         #: Sub-queries whose answer arrived but whose hedge copy is still
         #: in flight; the copy's completion is discarded on arrival.
@@ -233,88 +227,51 @@ class Dispatcher:
         lane = self._lanes[shard_id][replica]
         lane.pending.append((query_id, query, k, now_ns))
         lane.outstanding += 1
-        self._pending_count += 1
         if len(lane.pending) == 1:
-            heapq.heappush(
-                self._flush_heap,
-                (now_ns + self.config.max_delay_ns, EVENT_FLUSH, shard_id, replica),
-            )
+            self._post_flush(shard_id, replica)
         self.stats.queue_depth_samples.append(len(lane.pending))
         self.tracer.attempt_enqueued(query_id, shard_id, replica, hedge, now_ns)
 
     # -- flushing -------------------------------------------------------------
 
-    @property
-    def has_pending(self) -> bool:
-        """True while any lane holds unflushed sub-queries."""
-        return self._pending_count > 0
+    def flush_deadline_ns(self, shard_id: int, replica: int) -> float:
+        """The lane's time trigger (``inf`` while it is empty)."""
+        pending = self._lanes[shard_id][replica].pending
+        return pending[0][3] + self.config.max_delay_ns if pending else math.inf
 
-    @property
-    def next_flush_ns(self) -> float:
-        """Earliest time trigger across lanes (``inf`` when all empty)."""
-        heap = self._flush_heap
-        while heap:
-            deadline, _, shard_id, replica = heap[0]
-            lane = self._lanes[shard_id][replica]
-            if not lane.pending:
-                heapq.heappop(heap)
-                continue
-            actual = lane.deadline_ns + self.config.max_delay_ns
-            if actual != deadline:
-                heapq.heapreplace(heap, (actual, EVENT_FLUSH, shard_id, replica))
-                continue
-            return deadline
-        return math.inf
+    def _post_flush(self, shard_id: int, replica: int) -> None:
+        heapq.heappush(
+            self._events,
+            (self.flush_deadline_ns(shard_id, replica), EVENT_FLUSH, shard_id, replica),
+        )
 
     def flush_due(self, now_ns: float) -> None:
         """Fire every lane whose time trigger has passed."""
-        heap = self._flush_heap
-        while heap:
-            deadline, _, shard_id, replica = heap[0]
-            lane = self._lanes[shard_id][replica]
-            if not lane.pending:
-                heapq.heappop(heap)
-                continue
-            actual = lane.deadline_ns + self.config.max_delay_ns
-            if actual != deadline:
-                heapq.heapreplace(heap, (actual, EVENT_FLUSH, shard_id, replica))
-                continue
-            if deadline > now_ns:
-                return
-            heapq.heappop(heap)
-            self._flush(shard_id, replica, now_ns)
+        for shard_id, row in enumerate(self._lanes):
+            for replica in range(len(row)):
+                if self.flush_deadline_ns(shard_id, replica) <= now_ns:
+                    self._flush(shard_id, replica, now_ns)
 
     def _flush(self, shard_id: int, replica: int, now_ns: float) -> None:
-        lane = self._lanes[shard_id][replica]
-        pending = lane.pending
+        pending = self._lanes[shard_id][replica].pending
         if not pending:
             return
         session = self.sessions[shard_id][replica]
         shard = self.sharded.shards[shard_id]
         self.stats.batch_sizes.append(len(pending))
-        self._pending_count -= len(pending)
-        if not self.vectorize or len(pending) == 1:
-            for query_id, query, k, _ in pending:
-                session.submit(shard.query_task(query, k=k), ready_ns=now_ns, tag=query_id)
-        else:
-            # One planned wave per run of equal k (k is constant within a
-            # service run, so this is one wave in practice).
-            start, n = 0, len(pending)
-            while start < n:
-                k = pending[start][2]
-                end = start + 1
-                while end < n and pending[end][2] == k:
-                    end += 1
-                if end - start == 1:
-                    query_id, query, _, _ = pending[start]
-                    session.submit(shard.query_task(query, k=k), ready_ns=now_ns, tag=query_id)
-                else:
-                    chunk = pending[start:end]
-                    tasks = shard.query_tasks(np.stack([entry[1] for entry in chunk]), k=k)
-                    session.submit_batch(
-                        tasks, ready_ns=now_ns, tags=[entry[0] for entry in chunk]
-                    )
-                start = end
+        # One planned wave per run of equal k (k is constant within a
+        # service run, so this is one wave in practice).
+        start, n = 0, len(pending)
+        while start < n:
+            k = pending[start][2]
+            end = start + 1
+            while end < n and pending[end][2] == k:
+                end += 1
+            chunk = pending[start:end]
+            tasks = shard.query_tasks(np.stack([entry[1] for entry in chunk]), k=k)
+            session.submit_batch(tasks, ready_ns=now_ns, tags=[entry[0] for entry in chunk])
+            start = end
+        heapq.heappush(self._events, (now_ns, EVENT_COMPLETION, shard_id, replica))
         for query_id, _, _, _ in pending:
             self.tracer.attempt_flushed(query_id, shard_id, replica, now_ns)
         pending.clear()
@@ -329,12 +286,6 @@ class Dispatcher:
         """Outstanding sub-queries (queued + in flight) per lane."""
         return [[lane.outstanding for lane in row] for row in self._lanes]
 
-    def ingest_queue_depths(self) -> list[int]:
-        """Queued updates per shard ingest lane ([] without ingest)."""
-        if self.ingest is None:
-            return []
-        return self.ingest.lane_depths()
-
     # -- hedging --------------------------------------------------------------
 
     def _arm_hedge(
@@ -347,58 +298,40 @@ class Dispatcher:
         deadline_ns: float,
     ) -> None:
         key = (query_id, shard_id)
-        self._hedges[key] = _HedgeState(
-            deadline_ns=deadline_ns, primary=primary, query=query, k=k
-        )
-        heapq.heappush(self._hedge_heap, (deadline_ns, EVENT_HEDGE, self._hedge_seq, key))
+        self._hedges[key] = _HedgeState(primary=primary, query=query, k=k)
+        heapq.heappush(self._events, (deadline_ns, EVENT_HEDGE, self._hedge_seq, key))
         self._hedge_seq += 1
         self.stats.hedges_armed += 1
         self.tracer.hedge_armed(query_id, shard_id, deadline_ns)
 
-    def _prune_hedges(self) -> None:
-        while self._hedge_heap:
-            key = self._hedge_heap[0][3]
-            state = self._hedges.get(key)
-            if state is None or state.cancelled or state.secondary is not None:
-                heapq.heappop(self._hedge_heap)
-            else:
-                return
+    def hedge_pending(self, key: tuple[int, int]) -> bool:
+        """True while ``key``'s timer is armed: not answered, disarmed or fired."""
+        state = self._hedges.get(key)
+        return state is not None and not state.cancelled and state.secondary is None
 
-    @property
-    def next_hedge_ns(self) -> float:
-        """Earliest armed hedge deadline (``inf`` when none)."""
-        self._prune_hedges()
-        return self._hedge_heap[0][0] if self._hedge_heap else math.inf
-
-    def fire_hedges(self, now_ns: float) -> None:
-        """Re-issue every sub-query whose hedge deadline has passed."""
-        self._prune_hedges()
-        while self._hedge_heap and self._hedge_heap[0][0] <= now_ns:
-            key = heapq.heappop(self._hedge_heap)[3]
-            state = self._hedges.get(key)
-            if state is None or state.cancelled or state.secondary is not None:
-                continue
-            query_id, shard_id = key
-            lanes = self._lanes[shard_id]
-            secondary = self.router.secondary(
-                shard_id,
-                state.primary,
-                [lane.outstanding for lane in lanes],
-                self.config.queue_capacity,
-            )
-            if secondary is None:
-                # No replica can take the duplicate; leave the primary be.
-                state.cancelled = True
-                self.stats.hedges_suppressed += 1
-                self.tracer.hedge_suppressed(query_id, shard_id, now_ns)
-                continue
-            state.secondary = secondary
-            self.tracer.hedge_fired(query_id, shard_id, secondary, now_ns)
-            self._enqueue(shard_id, secondary, query_id, state.query, state.k, now_ns, hedge=True)
-            self.stats.hedges_issued += 1
-            if len(lanes[secondary].pending) >= self.config.max_batch:
-                self._flush(shard_id, secondary, now_ns)
-            self._prune_hedges()
+    def fire_hedge(self, now_ns: float, key: tuple[int, int]) -> None:
+        """Re-issue the sub-query whose (still pending) hedge timer is due."""
+        state = self._hedges[key]
+        query_id, shard_id = key
+        lanes = self._lanes[shard_id]
+        secondary = self.router.secondary(
+            shard_id,
+            state.primary,
+            [lane.outstanding for lane in lanes],
+            self.config.queue_capacity,
+        )
+        if secondary is None:
+            # No replica can take the duplicate; leave the primary be.
+            state.cancelled = True
+            self.stats.hedges_suppressed += 1
+            self.tracer.hedge_suppressed(query_id, shard_id, now_ns)
+            return
+        state.secondary = secondary
+        self.tracer.hedge_fired(query_id, shard_id, secondary, now_ns)
+        self._enqueue(shard_id, secondary, query_id, state.query, state.k, now_ns, hedge=True)
+        self.stats.hedges_issued += 1
+        if len(lanes[secondary].pending) >= self.config.max_batch:
+            self._flush(shard_id, secondary, now_ns)
 
     def _cancel_queued(self, shard_id: int, replica: int, query_id: int) -> bool:
         """Drop a still-queued copy of (query_id, shard) from its lane."""
@@ -407,7 +340,8 @@ class Dispatcher:
             if entry[0] == query_id:
                 del lane.pending[position]
                 lane.outstanding -= 1
-                self._pending_count -= 1
+                if position == 0 and lane.pending:
+                    self._post_flush(shard_id, replica)
                 return True
         return False
 

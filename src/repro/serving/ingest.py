@@ -37,14 +37,17 @@ stack as a **second traffic class** next to queries:
 Determinism: every structure here is either a list in apply order or a
 dict used for membership/lookup only (iteration goes through
 ``sorted``), so one seed still yields a byte-identical
-``ServiceReport``.  Entries in the service loop's update heap carry the
-:data:`~repro.serving.events.EVENT_UPDATE` tie-order tag — updates run
+``ServiceReport``.  Updates are posted to the run's event heap under
+the :data:`~repro.serving.events.EVENT_UPDATE` tie-order tag — they run
 last at equal timestamps, which keeps the query path of a no-ingest
-run byte-identical to pre-ingest behavior.
+run byte-identical to pre-ingest behavior — and a starting merge posts
+an ``EVENT_COMPLETION`` wake-up for every replica session it submits a
+timing task to.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -52,6 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.updates import IndexUpdater
+from repro.serving.events import EVENT_COMPLETION, Event
 from repro.serving.stats import MergeRecord, ServiceStats
 from repro.storage.engine import Compute, EngineSession, Task, WriteBatch
 
@@ -192,6 +196,7 @@ class IngestCoordinator:
         sessions: list[list[EngineSession]],
         config: IngestConfig,
         stats: ServiceStats,
+        events: list[Event],
         max_inserts: int = 0,
     ) -> None:
         if max_inserts < 0:
@@ -200,6 +205,8 @@ class IngestCoordinator:
         self.sessions = sessions
         self.config = config
         self.stats = stats
+        #: The run's event heap (owned by the service loop).
+        self._events = events
         n_shards = sharded.n_shards
         self._table_scheme = sharded.plan.scheme == "table"
         if self._table_scheme:
@@ -418,10 +425,11 @@ class IngestCoordinator:
             write_bytes=write_bytes,
         )
         requests = self._write_requests(shard_id, write_ios)
-        for session in self.sessions[shard_id]:
+        for replica, session in enumerate(self.sessions[shard_id]):
             session.submit(
                 self._merge_task(compute_ns, requests), ready_ns=now_ns, tag=ticket
             )
+            heapq.heappush(self._events, (now_ns, EVENT_COMPLETION, shard_id, replica))
 
     def _mutate_store(
         self, shard_id: int, insert_ids: list[int], tombstone_ids: list[int]
@@ -555,7 +563,7 @@ class IngestCoordinator:
 
     def _delta_answer(self, query: np.ndarray, k: int) -> "QueryAnswer | None":
         from repro.core.e2lsh import QueryAnswer
-        from repro.core.query_stats import QueryStats
+        from repro.stats import QueryStats
 
         if not self._live_refs:
             return None

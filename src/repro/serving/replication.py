@@ -55,7 +55,6 @@ __all__ = [
     "RoutingConfig",
     "ReplicaGroup",
     "ReplicaRouter",
-    "StallingDevice",
     "TimelineDevice",
     "build_replica_engines",
 ]
@@ -161,30 +160,6 @@ class FaultSpec:
         )
 
 
-class StallingDevice(StorageDevice):
-    """A device that periodically refuses new submissions.
-
-    Submissions landing inside a stall window are deferred to the end of
-    the window; everything else follows the base timing model.
-    """
-
-    def __init__(self, profile: DeviceProfile, period_ns: float, duration_ns: float) -> None:
-        super().__init__(profile)
-        if duration_ns <= 0 or period_ns <= duration_ns:
-            raise ValueError("need 0 < duration_ns < period_ns")
-        self.period_ns = period_ns
-        self.duration_ns = duration_ns
-
-    def _deferred(self, submit_ns: float) -> float:
-        phase = submit_ns % self.period_ns
-        if phase < self.duration_ns:
-            return submit_ns - phase + self.duration_ns
-        return submit_ns
-
-    def submit(self, submit_ns: float, length: int) -> float:
-        return super().submit(self._deferred(submit_ns), length)
-
-
 class TimelineDevice(StorageDevice):
     """A device degraded by *time-windowed* fault events.
 
@@ -226,8 +201,11 @@ class TimelineDevice(StorageDevice):
                     continue
                 phase = (submit_ns - start) % period
                 if phase < duration:
-                    submit_ns = min(submit_ns - phase + duration, stop)
-                    moved = True
+                    # Rounding can land the deferred time an ulp short of
+                    # the stall's end; only an actual advance re-checks.
+                    deferred = min(submit_ns - phase + duration, stop)
+                    moved = moved or deferred > submit_ns
+                    submit_ns = deferred
         return submit_ns
 
     def _latency_scale(self, start_ns: float) -> float:
@@ -282,11 +260,11 @@ def build_replica_engines(
                 "always-on stall faults; compose them into one FaultSpec "
                 "(overlapping stall windows are not modeled)"
             )
-        if windowed:
-            # Windowed faults (and any always-on stall pattern riding along)
-            # are applied per-request by a TimelineDevice.  The always-on
-            # stall contributes only its stall fields — its latency
-            # multiplier is already baked into the profile above.
+        if windowed or steady_stalls:
+            # Windowed faults and always-on stall patterns are applied
+            # per-request by a TimelineDevice.  An always-on stall is the
+            # open window [0, inf) and contributes only its stall fields —
+            # its latency multiplier is already baked into the profile above.
             events = [
                 (
                     f.start_ns,
@@ -302,16 +280,6 @@ def build_replica_engines(
             ]
             members = [
                 TimelineDevice(profile, events) for _ in range(devices_per_replica)
-            ]
-            volume = StripedVolume(members, stripe_unit=stripe_unit)
-        elif steady_stalls:
-            members = [
-                StallingDevice(
-                    profile,
-                    steady_stalls[0].stall_period_ns,
-                    steady_stalls[0].stall_duration_ns,
-                )
-                for _ in range(devices_per_replica)
             ]
             volume = StripedVolume(members, stripe_unit=stripe_unit)
         else:

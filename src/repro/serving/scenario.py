@@ -330,7 +330,6 @@ def run_scenario(
     tracer: Tracer | None = None,
     metrics_interval_ns: float | None = None,
     index: ScenarioIndex | None = None,
-    vectorize: bool = True,
     profile_interval_ns: float | None = None,
 ) -> ScenarioResult:
     """Run one scenario end to end and report against its SLO.
@@ -340,10 +339,10 @@ def run_scenario(
     it must have been built from a spec with the same data, serving, and
     fault configuration — only the workload and SLO may differ.
 
-    ``vectorize`` and ``profile_interval_ns`` are *execution* knobs, not
-    part of the spec: they change how fast the simulator runs (and how
-    its wall throughput is sampled), never the simulated outcome, so
-    they do not participate in the spec's JSON round-trip.
+    ``profile_interval_ns`` is an *execution* knob, not part of the
+    spec: it changes how the simulator's wall throughput is sampled,
+    never the simulated outcome, so it does not participate in the
+    spec's JSON round-trip.
     """
     if index is None:
         index = build_scenario_index(spec)
@@ -354,7 +353,6 @@ def run_scenario(
         workers_per_shard=spec.serving.workers_per_shard,
         tracer=tracer,
         metrics_interval_ns=metrics_interval_ns,
-        vectorize=vectorize,
         profile_interval_ns=profile_interval_ns,
     )
     pool = index.dataset.queries

@@ -1,25 +1,34 @@
 """The query service: arrivals -> dispatcher -> replica engines, in one
 simulated clock.
 
-The loop is a five-source discrete-event simulation.  At every
-iteration the earliest of
+A run is a discrete-event simulation over **one event heap**
+(:mod:`repro.serving.events`).  Query arrivals and ingest updates are
+posted up front; the dispatcher posts lane flush deadlines and hedge
+deadlines as it arms them; whoever hands work to a replica's engine
+session posts that session's wake-up.  The loop pops the earliest
+entry, skips it if the state it refers to has moved on (a *stale*
+entry — see the events module for the rule per class), and otherwise
+dispatches on its tag:
 
-1. the next resumable task on any replica's engine session,
-2. the next micro-batch time trigger (dispatcher lane deadline),
-3. the next armed hedge deadline (hedged routing only),
-4. the next query arrival,
-5. the next ingest update arrival (insert/delete traffic)
+- ``EVENT_COMPLETION``: step that replica's session once (resume its
+  earliest-ready task until it parks or finishes), re-post the
+  session's next wake-up, and route a finished task's result;
+- ``EVENT_FLUSH``: release every lane whose time trigger has passed;
+- ``EVENT_HEDGE``: fire that one hedge timer;
+- ``EVENT_ARRIVAL``: offer the query to admission;
+- ``EVENT_UPDATE``: offer the update to the ingest lanes.
 
-is processed.  **Tie order is part of the contract**: at equal
-timestamps, completions run before flushes, flushes before hedges,
-hedges before arrivals, arrivals before updates.  Completions first
-means a sub-query finishing exactly at its hedge deadline cancels the
-timer instead of issuing a useless duplicate, and frees its admission
-slot before a same-instant arrival is considered; hedges before
-arrivals means a duplicate joins the micro-batch an arrival would
-trigger; updates last means the query path of a no-ingest run is
-byte-identical to a loop that never heard of updates.  Regression tests
-pin this order — do not reorder the branches.
+**Tie order is part of the contract** and is nothing but the tags'
+numeric order: at equal timestamps, completions run before flushes,
+flushes before hedges, hedges before arrivals, arrivals before updates.
+Completions first means a sub-query finishing exactly at its hedge
+deadline cancels the timer instead of issuing a useless duplicate, and
+frees its admission slot before a same-instant arrival is considered;
+hedges before arrivals means a duplicate joins the micro-batch an
+arrival would trigger; updates last means the query path of a no-ingest
+run is byte-identical to a loop that never heard of updates.  Same-time
+wake-ups of different sessions resolve by ``(shard, replica)``.
+Regression tests pin this order — do not renumber the tags.
 
 Replica sessions advance independently (each replica owns its device
 volume), but completions feed back into the loop: the last shard answer
@@ -36,7 +45,6 @@ closed-loop client retries after the micro-batch delay.
 from __future__ import annotations
 
 import heapq
-import math
 from collections.abc import Callable
 
 import numpy as np
@@ -46,7 +54,14 @@ from repro.obs.metrics import MetricsRegistry, Timeline
 from repro.obs.selfprof import LoopProfile
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serving.dispatcher import DispatchConfig, Dispatcher
-from repro.serving.events import EVENT_ARRIVAL, EVENT_UPDATE
+from repro.serving.events import (
+    EVENT_ARRIVAL,
+    EVENT_COMPLETION,
+    EVENT_FLUSH,
+    EVENT_HEDGE,
+    EVENT_UPDATE,
+    Event,
+)
 from repro.serving.ingest import (
     IngestConfig,
     IngestCoordinator,
@@ -78,7 +93,6 @@ class QueryService:
         workers_per_shard: int = 1,
         tracer: Tracer | None = None,
         metrics_interval_ns: float | None = None,
-        vectorize: bool = True,
         profile_interval_ns: float | None = None,
     ) -> None:
         self.sharded = sharded
@@ -91,10 +105,6 @@ class QueryService:
         #: Simulated-time sampling period for the metrics timeline;
         #: ``None`` disables sampling.
         self.metrics_interval_ns = metrics_interval_ns
-        #: Flush full dispatcher lanes as vectorized waves; ``False``
-        #: runs the scalar per-sub-query path (same reports and traces,
-        #: byte for byte — only wall-clock speed differs).
-        self.vectorize = vectorize
         #: Simulated-time sampling period for the *wall-clock* loop
         #: profile timeline; ``None`` disables it.  Wall figures are
         #: non-deterministic, so they live next to the metrics export,
@@ -215,46 +225,33 @@ class QueryService:
             )
             for group in self.sharded.replica_groups
         ]
+        events: list[Event] = [
+            (a.time_ns, EVENT_ARRIVAL, a.query_id, a.pool_index) for a in arrivals
+        ]
         dispatcher = Dispatcher(
             self.sharded,
             sessions,
             self.dispatch,
             self.stats,
+            events,
             routing=self.routing,
             tracer=tracer,
-            vectorize=self.vectorize,
         )
         coordinator: IngestCoordinator | None = None
-        updates_by_id: dict[int, UpdateArrival] = {}
-        # Entries are (time_ns, EVENT_UPDATE, update_id) per the
-        # serving.events tie-order tagging contract (SIM001).
-        update_heap: list[tuple[float, int, int]] = []
         if updates:
             coordinator = IngestCoordinator(
                 self.sharded,
                 sessions,
                 ingest if ingest is not None else IngestConfig(),
                 self.stats,
+                events,
                 max_inserts=sum(1 for u in updates if u.kind == "insert"),
             )
             dispatcher.ingest = coordinator
-            updates_by_id = {u.update_id: u for u in updates}
-            update_heap = [(u.time_ns, EVENT_UPDATE, u.update_id) for u in updates]
-            heapq.heapify(update_heap)
+            events.extend((u.time_ns, EVENT_UPDATE, u.update_id, u) for u in updates)
+        heapq.heapify(events)
         self.ingest = coordinator
         n_shards = self.sharded.n_shards
-        flat_sessions = [
-            (shard_id, replica, session)
-            for shard_id, row in enumerate(sessions)
-            for replica, session in enumerate(row)
-        ]
-
-        # Entries are (time_ns, EVENT_ARRIVAL, query_id, pool_index) per
-        # the serving.events tie-order tagging contract (SIM001).
-        arrival_heap = [
-            (a.time_ns, EVENT_ARRIVAL, a.query_id, a.pool_index) for a in arrivals
-        ]
-        heapq.heapify(arrival_heap)
         #: query_id -> (arrival_ns, pool_index, parts, latest finish so far)
         in_flight: dict[int, tuple[float, int, list[QueryAnswer], float]] = {}
 
@@ -277,7 +274,7 @@ class QueryService:
         def issue(arrival: Arrival | None) -> None:
             if arrival is not None:
                 heapq.heappush(
-                    arrival_heap,
+                    events,
                     (arrival.time_ns, EVENT_ARRIVAL, arrival.query_id, arrival.pool_index),
                 )
 
@@ -292,44 +289,39 @@ class QueryService:
         def profile_sample(t_ns: float) -> dict:
             """Per-interval wall events/sec (delta since the last tick)."""
             point = profile.checkpoint()
-            events = point["events_total"] - last_wall["events"]
+            events_seen = point["events_total"] - last_wall["events"]
             seconds = point["wall_seconds"] - last_wall["seconds"]
             last_wall["events"] = point["events_total"]
             last_wall["seconds"] = point["wall_seconds"]
             return {
-                "events": events,
+                "events": events_seen,
                 "wall_seconds": seconds,
-                "events_per_sec": events / seconds if seconds > 0 else 0.0,
+                "events_per_sec": events_seen / seconds if seconds > 0 else 0.0,
             }
 
-        profile.start()
-        while True:
-            # The loop runs while any source can still produce an event;
-            # all-inf timestamps mean no arrivals, no queued or parked
-            # work, and no live hedge timers — i.e. the run is over.
-            t_arrival = arrival_heap[0][0] if arrival_heap else math.inf
-            t_update = update_heap[0][0] if update_heap else math.inf
-            t_flush = dispatcher.next_flush_ns
-            t_hedge = dispatcher.next_hedge_ns
-            shard_id, replica, session = flat_sessions[0]
-            t_engine = session.next_ready_ns
-            for entry in flat_sessions:
-                t_entry = entry[2].next_ready_ns
-                if t_entry < t_engine:
-                    t_engine = t_entry
-                    shard_id, replica, session = entry
-            t_next = min(t_arrival, t_flush, t_hedge, t_engine, t_update)
-            if math.isinf(t_next):
-                break
+        def tick(now: float) -> None:
+            """Bring the sampled timelines up to a live event's time."""
             if timeline is not None:
-                timeline.advance(t_next, sample)
+                timeline.advance(now, sample)
             if profile_timeline is not None:
-                profile_timeline.advance(t_next, profile_sample)
+                profile_timeline.advance(now, profile_sample)
 
-            # Contract: completions -> flushes -> hedges -> arrivals -> updates.
-            if t_engine <= min(t_flush, t_hedge, t_arrival, t_update):
+        profile.start()
+        while events:
+            now, tag, a, b = heapq.heappop(events)
+            # Each branch first drops a stale entry (see serving.events):
+            # those are not events, so they neither tick nor count.
+            if tag == EVENT_COMPLETION:
+                session = sessions[a][b]
+                if session.next_ready_ns != now:
+                    continue
+                tick(now)
                 profile.engine_steps += 1
                 completion = session.step()
+                if session.has_work:
+                    heapq.heappush(
+                        events, (session.next_ready_ns, EVENT_COMPLETION, a, b)
+                    )
                 if completion is None:
                     continue
                 if coordinator is not None and isinstance(completion.tag, MergeTicket):
@@ -337,7 +329,7 @@ class QueryService:
                     # lane accounting — they were never admitted.
                     coordinator.merge_task_done(completion.tag, completion.finish_ns)
                     continue
-                part = dispatcher.subquery_done(shard_id, replica, completion)
+                part = dispatcher.subquery_done(a, b, completion)
                 if part is None:
                     continue  # hedge loser; the answer already arrived
                 query_id = completion.tag
@@ -358,41 +350,41 @@ class QueryService:
                 tracer.query_completed(query_id, latest)
                 if on_done is not None:
                     issue(on_done(latest))
-                continue
-
-            if t_flush <= min(t_hedge, t_arrival, t_update):
+            elif tag == EVENT_FLUSH:
+                if dispatcher.flush_deadline_ns(a, b) > now:
+                    continue
+                tick(now)
                 profile.flushes += 1
-                dispatcher.flush_due(t_flush)
-                continue
-
-            if t_hedge <= min(t_arrival, t_update):
+                dispatcher.flush_due(now)
+            elif tag == EVENT_HEDGE:
+                if not dispatcher.hedge_pending(b):
+                    continue
+                tick(now)
                 profile.hedges += 1
-                dispatcher.fire_hedges(t_hedge)
-                continue
-
-            if t_arrival <= t_update:
+                dispatcher.fire_hedge(now, b)
+            elif tag == EVENT_ARRIVAL:
+                tick(now)
                 profile.arrivals += 1
-                _, _, query_id, pool_index = heapq.heappop(arrival_heap)
-                if dispatcher.admit(t_arrival, query_id, pool[pool_index], k=k):
-                    in_flight[query_id] = (t_arrival, pool_index, [], 0.0)
-                    tracer.query_admitted(query_id, t_arrival)
+                query_id, pool_index = a, b
+                if dispatcher.admit(now, query_id, pool[pool_index], k=k):
+                    in_flight[query_id] = (now, pool_index, [], 0.0)
+                    tracer.query_admitted(query_id, now)
                 else:
                     profile.rejections += 1
-                    tracer.query_rejected(query_id, t_arrival)
+                    tracer.query_rejected(query_id, now)
                     if on_done is not None:
                         # Closed loop: the shed client retries after a backoff.
                         issue(
                             Arrival(
                                 query_id=query_id,
-                                time_ns=t_arrival + max(self.dispatch.max_delay_ns, 1.0),
+                                time_ns=now + max(self.dispatch.max_delay_ns, 1.0),
                                 pool_index=pool_index,
                             )
                         )
-                continue
-
-            profile.updates += 1
-            _, _, update_id = heapq.heappop(update_heap)
-            dispatcher.admit_update(t_update, updates_by_id[update_id])
+            else:
+                tick(now)
+                profile.updates += 1
+                dispatcher.admit_update(now, b)
         profile.stop()
 
         if in_flight:  # pragma: no cover - defensive

@@ -6,7 +6,7 @@ through its own :class:`~repro.storage.engine.AsyncIOEngine`.  Because
 LSH partitions by *data* (not by query), a top-k query is scattered to
 every shard and the per-shard answers merged — the shard answers carry
 global object IDs (``id_map`` in
-:meth:`~repro.core.e2lshos.E2LSHoSIndex.query_task`), so the merge is a
+:meth:`~repro.core.e2lshos.E2LSHoSIndex.query_tasks`), so the merge is a
 plain k-way selection by true distance.
 
 Three decisions keep the scatter-gather I/O close to a single node's
@@ -62,9 +62,9 @@ from repro.core.e2lsh import QueryAnswer
 from repro.core.e2lshos import E2LSHoSIndex
 from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
-from repro.core.query_stats import QueryStats
 from repro.core.radii import RadiusLadder
 from repro.serving.replication import FaultSpec, ReplicaGroup, build_replica_engines
+from repro.stats import QueryStats
 from repro.storage.blockstore import MemoryBlockStore
 from repro.storage.engine import AsyncIOEngine, EngineResult, Task
 
@@ -173,12 +173,6 @@ class Shard:
     def stop_k(self, k: int) -> int:
         """Rung-descent quota: this shard's expected share of top-k."""
         return min(k, math.ceil(k / self.quota_shards) + 1)
-
-    def query_task(self, query: np.ndarray, k: int) -> Task:
-        """Sub-query task reporting global IDs (dispatcher-ready)."""
-        return self.index.query_task(
-            query, k=k, id_map=self.global_ids, stop_k=self.stop_k(k)
-        )
 
     def query_tasks(self, queries: np.ndarray, k: int) -> list[Task]:
         """One planned wave of sub-query tasks reporting global IDs."""
@@ -386,8 +380,9 @@ class ShardedIndex:
         shard_results: list[EngineResult] = []
         per_shard_answers: list[list[QueryAnswer]] = []
         for shard in self.shards:
-            tasks = [shard.query_task(row, k=k) for row in queries]
-            result = shard.engine.run(tasks, workers=workers_per_shard)
+            result = shard.engine.run(
+                shard.query_tasks(queries, k=k), workers=workers_per_shard
+            )
             shard_results.append(result)
             per_shard_answers.append(list(result.results))
         answers = [

@@ -182,6 +182,34 @@ def test_loadtest_trace_and_metrics_exports(tmp_path):
     assert metrics["wall"]["events_total"] > 0
 
 
+SMALL_LOADTEST = (
+    "loadtest", "--dataset", "sift", "--n", "1200", "--queries", "8", "--requests", "16",
+)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--metrics-interval-us", "0"), "error: interval_ns must be positive"),
+        (("--profile-interval-us", "-1"), "error: interval_ns must be positive"),
+    ],
+)
+def test_loadtest_bad_sampling_interval_is_a_one_line_error(tmp_path, flags, message):
+    with pytest.raises(SystemExit, match=message):
+        run_cli(*SMALL_LOADTEST, "--metrics-out", str(tmp_path / "m.json"), *flags)
+
+
+def test_zero_size_database_is_a_one_line_error(tmp_path):
+    prefix = str(tmp_path / "idx")
+    with pytest.raises(SystemExit, match="error: n must be >= 1"):
+        run_cli("build", "--dataset", "sift", "--n", "0", "--out", prefix)
+    with pytest.raises(SystemExit, match="error: n must be >= 1"):
+        run_cli("analyze", "--dataset", "sift", "--n", "0")
+    run_cli("build", "--dataset", "sift", "--n", "1200", "--queries", "4", "--out", prefix)
+    with pytest.raises(SystemExit, match="error: data has n=0"):
+        run_cli("query", "--dataset", "sift", "--n", "0", "--index", prefix)
+
+
 def test_scenarios_list_names_the_catalog():
     from repro.serving.catalog import CATALOG_NAMES
 

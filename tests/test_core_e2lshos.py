@@ -102,7 +102,7 @@ def test_mmap_sync_same_answers_slower(setup):
     assert total_ns / len(queries) > async_result.mean_query_time_ns
 
 
-def test_run_mmap_sync_shim_warns_and_matches(setup):
+def test_mmap_sync_replays_identically_with_a_fresh_cache(setup):
     data, queries, inmem, storage = setup
     def mk_cache():
         return PageCache(
@@ -111,12 +111,12 @@ def test_run_mmap_sync_shim_warns_and_matches(setup):
             interface=INTERFACE_PROFILES["mmap_sync"],
             capacity_bytes=storage.dram_bytes,
         )
-    batch = storage.run(queries, k=1, mode="mmap_sync", cache=mk_cache())
-    with pytest.warns(DeprecationWarning, match="mmap_sync"):
-        answers, total_ns = storage.run_mmap_sync(queries, mk_cache(), k=1)
-    assert total_ns == batch.engine.makespan_ns
-    for legacy, unified in zip(answers, batch.answers):
-        np.testing.assert_array_equal(legacy.ids, unified.ids)
+    first = storage.run(queries, k=1, mode="mmap_sync", cache=mk_cache())
+    again = storage.run(queries, k=1, mode="mmap_sync", cache=mk_cache())
+    assert again.engine.makespan_ns == first.engine.makespan_ns
+    assert again.engine.io_count == first.engine.io_count
+    for a, b in zip(first.answers, again.answers):
+        np.testing.assert_array_equal(a.ids, b.ids)
 
 
 def test_run_mode_validation(setup):

@@ -129,10 +129,10 @@ def test_cli_lint_fixtures_json_exit_code() -> None:
 
 def test_cli_lint_select_single_rule() -> None:
     out = io.StringIO()
-    code = main(["lint", "--root", str(FIXTURES), "--select", "DET004"], out=out)
+    code = main(["lint", "--root", str(FIXTURES), "--select", "SIM001"], out=out)
     assert code == 1
     body = out.getvalue()
-    assert "DET004" in body
+    assert "SIM001" in body
     assert "DET001" not in body
 
 
@@ -145,7 +145,7 @@ def test_cli_list_rules() -> None:
     out = io.StringIO()
     assert main(["lint", "--list-rules"], out=out) == 0
     body = out.getvalue()
-    for rule_id in ("DET001", "DET002", "DET003", "DET004", "API001", "SIM001"):
+    for rule_id in ("DET001", "DET002", "DET003", "API001", "SIM001"):
         assert rule_id in body
     assert "repro: allow[RULE-ID]" in body
 

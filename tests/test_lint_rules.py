@@ -106,4 +106,4 @@ def test_rule_metadata() -> None:
 
 
 def test_expected_rule_set() -> None:
-    assert RULE_IDS == ["API001", "DET001", "DET002", "DET003", "DET004", "SIM001"]
+    assert RULE_IDS == ["API001", "DET001", "DET002", "DET003", "SIM001"]

@@ -1,4 +1,10 @@
-"""Tests for repro.serving.dispatcher (replica lanes, batching, hedging)."""
+"""Tests for repro.serving.dispatcher (replica lanes, batching, hedging).
+
+The dispatcher owns no timer queue: it *posts* flush deadlines, hedge
+deadlines and session wake-ups to the run's event heap, and the service
+loop skips entries that went stale.  These tests hand it a bare list and
+assert on what it posts, applying the loop's staleness rule themselves.
+"""
 
 import math
 
@@ -7,6 +13,7 @@ import pytest
 
 from repro.core.params import E2LSHParams
 from repro.serving.dispatcher import DispatchConfig, Dispatcher
+from repro.serving.events import EVENT_COMPLETION, EVENT_FLUSH, EVENT_HEDGE
 from repro.serving.replication import FaultSpec, RoutingConfig
 from repro.serving.sharding import ShardedIndex
 from repro.serving.stats import ServiceStats
@@ -43,9 +50,43 @@ def make_dispatcher(sharded, routing=None, **kwargs):
     stats = ServiceStats()
     sessions = [group.sessions() for group in sharded.replica_groups]
     dispatcher = Dispatcher(
-        sharded, sessions, DispatchConfig(**kwargs), stats, routing=routing
+        sharded, sessions, DispatchConfig(**kwargs), stats, [], routing=routing
     )
     return dispatcher, sessions, stats
+
+
+def posted(dispatcher, tag):
+    """Every entry of one class the dispatcher has posted, in pop order."""
+    return sorted(entry for entry in dispatcher._events if entry[1] == tag)
+
+
+def live_flushes(dispatcher):
+    """Posted flush deadlines the loop would act on (not stale)."""
+    return [
+        entry
+        for entry in posted(dispatcher, EVENT_FLUSH)
+        if dispatcher.flush_deadline_ns(entry[2], entry[3]) <= entry[0]
+    ]
+
+
+def live_hedges(dispatcher):
+    """Posted hedge timers the loop would fire (not stale)."""
+    return [
+        entry
+        for entry in posted(dispatcher, EVENT_HEDGE)
+        if dispatcher.hedge_pending(entry[3])
+    ]
+
+
+def fire_due_hedges(dispatcher, now_ns):
+    """What the loop does with the hedge timers due by ``now_ns``."""
+    for deadline, _, _, key in posted(dispatcher, EVENT_HEDGE):
+        if deadline <= now_ns and dispatcher.hedge_pending(key):
+            dispatcher.fire_hedge(now_ns, key)
+
+
+def queued(dispatcher):
+    return sum(depth for row in dispatcher.queue_depths() for depth in row)
 
 
 def drain_completions(dispatcher, sessions):
@@ -66,34 +107,50 @@ def test_size_trigger_flushes_full_batch(sharded, query):
     dispatcher, sessions, stats = make_dispatcher(sharded, max_batch=3)
     for i in range(3):
         assert dispatcher.admit(100.0, i, query, k=2)
-    assert not dispatcher.has_pending  # batch released on the 3rd admit
+    assert queued(dispatcher) == 0  # batch released on the 3rd admit
     assert all(s.has_work for row in sessions for s in row)
     assert stats.batch_sizes == [3, 3]  # one flush per shard lane
+    # Each flush wakes the session it submitted to, at the flush time.
+    assert posted(dispatcher, EVENT_COMPLETION) == [
+        (100.0, EVENT_COMPLETION, 0, 0),
+        (100.0, EVENT_COMPLETION, 1, 0),
+    ]
+    # The time triggers posted at first enqueue are stale now.
+    assert live_flushes(dispatcher) == []
 
 
 def test_time_trigger_deadline(sharded, query):
     dispatcher, sessions, stats = make_dispatcher(sharded, max_batch=100, max_delay_ns=500.0)
     dispatcher.admit(1000.0, 0, query, k=2)
-    assert dispatcher.has_pending
-    assert dispatcher.next_flush_ns == pytest.approx(1500.0)
+    assert queued(dispatcher) == 2
+    assert live_flushes(dispatcher) == [
+        (1500.0, EVENT_FLUSH, 0, 0),
+        (1500.0, EVENT_FLUSH, 1, 0),
+    ]
     dispatcher.flush_due(1400.0)  # before the deadline: nothing happens
-    assert dispatcher.has_pending
+    assert queued(dispatcher) == 2
     dispatcher.flush_due(1500.0)
-    assert not dispatcher.has_pending
+    assert queued(dispatcher) == 0
     assert all(s.has_work for row in sessions for s in row)
+    assert live_flushes(dispatcher) == []
 
 
 def test_deadline_set_by_oldest_entry(sharded, query):
     dispatcher, _, _ = make_dispatcher(sharded, max_batch=100, max_delay_ns=500.0)
     dispatcher.admit(1000.0, 0, query, k=2)
     dispatcher.admit(1300.0, 1, query, k=2)
-    assert dispatcher.next_flush_ns == pytest.approx(1500.0)
+    # The younger entry posts nothing: one deadline per lane, the oldest's.
+    assert posted(dispatcher, EVENT_FLUSH) == [
+        (1500.0, EVENT_FLUSH, 0, 0),
+        (1500.0, EVENT_FLUSH, 1, 0),
+    ]
+    assert dispatcher.flush_deadline_ns(0, 0) == pytest.approx(1500.0)
 
 
 def test_no_pending_means_no_deadline(sharded):
     dispatcher, _, _ = make_dispatcher(sharded)
-    assert math.isinf(dispatcher.next_flush_ns)
-    assert math.isinf(dispatcher.next_hedge_ns)
+    assert dispatcher._events == []
+    assert math.isinf(dispatcher.flush_deadline_ns(0, 0))
 
 
 # -- bounded admission -------------------------------------------------------
@@ -134,7 +191,7 @@ def test_outstanding_counts_in_flight_not_just_queued(sharded, query):
     # Two admits flush immediately (max_batch=2), but stay outstanding.
     dispatcher.admit(0.0, 0, query, k=2)
     dispatcher.admit(0.0, 1, query, k=2)
-    assert not dispatcher.has_pending
+    assert queued(dispatcher) == 0
     assert dispatcher.admit(0.0, 2, query, k=2)  # 3rd slot
     assert not dispatcher.admit(0.0, 3, query, k=2)  # capacity 3 reached
 
@@ -177,6 +234,7 @@ def test_session_shape_must_match_replicas(sharded, replicated):
             [sharded.shards[0].engine.session()],
             DispatchConfig(),
             ServiceStats(),
+            [],
         )
     with pytest.raises(ValueError):
         # Replicated index, single-copy session rows.
@@ -185,13 +243,14 @@ def test_session_shape_must_match_replicas(sharded, replicated):
             [group.engines[0].session() for group in replicated.replica_groups],
             DispatchConfig(),
             ServiceStats(),
+            [],
         )
 
 
 def test_flat_session_list_accepted_for_single_copy(sharded, query):
     stats = ServiceStats()
     sessions = [shard.engine.session() for shard in sharded.shards]
-    dispatcher = Dispatcher(sharded, sessions, DispatchConfig(max_batch=1), stats)
+    dispatcher = Dispatcher(sharded, sessions, DispatchConfig(max_batch=1), stats, [])
     assert dispatcher.admit(0.0, 0, query, k=2)
     assert all(session.has_work for session in sessions)
 
@@ -208,7 +267,10 @@ def test_hedge_timer_armed_at_admission(replicated, query):
     dispatcher, _, stats = hedged_dispatcher(replicated, max_batch=100)
     dispatcher.admit(100.0, 0, query, k=2)
     assert stats.hedges_armed == 2  # one per shard
-    assert dispatcher.next_hedge_ns == pytest.approx(1100.0)
+    assert live_hedges(dispatcher) == [
+        (1100.0, EVENT_HEDGE, 0, (0, 0)),
+        (1100.0, EVENT_HEDGE, 1, (0, 1)),
+    ]
 
 
 def test_hedge_timer_cancelled_when_primary_completes_first(replicated, query):
@@ -221,17 +283,19 @@ def test_hedge_timer_cancelled_when_primary_completes_first(replicated, query):
                 assert dispatcher.subquery_done(shard_id, replica, completion) is not None
     assert stats.hedges_cancelled == 2
     assert stats.hedges_issued == 0
-    # The heap is pruned: no stale timers left to fire.
-    assert math.isinf(dispatcher.next_hedge_ns)
-    dispatcher.fire_hedges(2e12)
+    # Both posted timers are stale: the loop skips them, nothing fires.
+    assert len(posted(dispatcher, EVENT_HEDGE)) == 2
+    assert live_hedges(dispatcher) == []
+    fire_due_hedges(dispatcher, 2e12)
     assert stats.hedges_issued == 0
 
 
 def test_hedge_fires_and_duplicate_goes_to_other_replica(replicated, query):
     dispatcher, _, stats = hedged_dispatcher(replicated, delay_ns=500.0, max_batch=100)
     dispatcher.admit(0.0, 0, query, k=2)
-    dispatcher.fire_hedges(500.0)
+    fire_due_hedges(dispatcher, 500.0)
     assert stats.hedges_issued == 2
+    assert live_hedges(dispatcher) == []  # a fired timer never fires twice
     # Each shard now has the original plus the duplicate queued, on
     # different replica lanes.
     for row in dispatcher._lanes:
@@ -246,7 +310,7 @@ def test_loser_cancellation_preserves_younger_entries_deadline(replicated, query
         replicated, delay_ns=100.0, max_batch=100, max_delay_ns=500.0
     )
     dispatcher.admit(0.0, 0, query, k=2)  # primaries queue at t=0
-    dispatcher.fire_hedges(100.0)  # duplicates join *other* lanes at t=100
+    fire_due_hedges(dispatcher, 100.0)  # duplicates join *other* lanes at t=100
     assert stats.hedges_issued == 2
     # Each duplicate heads its lane; cancel it by hand and make sure the
     # lane deadline is gone with it, not frozen at the duplicate's time.
@@ -254,9 +318,29 @@ def test_loser_cancellation_preserves_younger_entries_deadline(replicated, query
         for replica, lane in enumerate(row):
             if lane.pending and lane.pending[0][3] == 100.0:
                 assert dispatcher._cancel_queued(shard_id, replica, 0)
-                assert lane.deadline_ns == math.inf  # no stale deadline
-    # Primaries still flush on their own t=0 + 500 deadline.
-    assert dispatcher.next_flush_ns == pytest.approx(500.0)
+                assert math.isinf(dispatcher.flush_deadline_ns(shard_id, replica))
+    # Primaries still flush on their own t=0 + 500 deadline; the
+    # duplicates' t=100 + 500 postings went stale with them.
+    assert [entry[0] for entry in live_flushes(dispatcher)] == [500.0, 500.0]
+
+
+def test_cancelling_the_front_entry_posts_the_survivors_deadline(sharded, query):
+    """The lane re-keys to the oldest *surviving* entry: its full window,
+    not the cancelled front's shorter one."""
+    dispatcher, _, _ = make_dispatcher(sharded, max_batch=100, max_delay_ns=500.0)
+    dispatcher.admit(0.0, 0, query, k=2)
+    dispatcher.admit(300.0, 1, query, k=2)
+    assert dispatcher._cancel_queued(0, 0, 0)  # drop shard 0's front entry
+    assert dispatcher.flush_deadline_ns(0, 0) == pytest.approx(800.0)
+    assert live_flushes(dispatcher) == [
+        (500.0, EVENT_FLUSH, 1, 0),  # untouched lane keeps its deadline
+        (800.0, EVENT_FLUSH, 0, 0),  # survivor: enqueued 300 + 500
+    ]
+    # Cancelling from the middle of a queue changes no deadline.
+    dispatcher.admit(400.0, 2, query, k=2)
+    before = list(dispatcher._events)
+    assert dispatcher._cancel_queued(1, 0, 1)
+    assert dispatcher._events == before
 
 
 def test_hedge_loser_cancelled_while_still_queued(replicated, query):
@@ -265,7 +349,7 @@ def test_hedge_loser_cancelled_while_still_queued(replicated, query):
     dispatcher, sessions, stats = hedged_dispatcher(replicated, delay_ns=500.0, max_batch=100)
     dispatcher.admit(0.0, 0, query, k=2)
     dispatcher.flush_due(math.inf)  # primaries reach their engines...
-    dispatcher.fire_hedges(500.0)  # ...duplicates stay queued (size 1 < 100)
+    fire_due_hedges(dispatcher, 500.0)  # ...duplicates stay queued (size 1 < 100)
     assert stats.hedges_issued == 2
     answers = 0
     for shard_id, row in enumerate(sessions):
@@ -276,7 +360,8 @@ def test_hedge_loser_cancelled_while_still_queued(replicated, query):
     assert answers == 2
     assert stats.hedge_losses == 2
     assert stats.hedge_losers_cancelled == 2
-    assert not dispatcher.has_pending  # cancelled copies left no residue
+    assert queued(dispatcher) == 0  # cancelled copies left no residue
+    assert live_flushes(dispatcher) == []
 
 
 def test_shed_admissions_do_not_skew_round_robin(replicated, query):
@@ -307,7 +392,7 @@ def test_hedged_single_copy_never_arms_timers(sharded, query):
     )
     dispatcher.admit(0.0, 0, query, k=2)
     assert stats.hedges_armed == 0
-    assert math.isinf(dispatcher.next_hedge_ns)
+    assert posted(dispatcher, EVENT_HEDGE) == []
 
 
 def test_adaptive_hedging_stays_quiet_until_warm(replicated, query):
@@ -315,7 +400,7 @@ def test_adaptive_hedging_stays_quiet_until_warm(replicated, query):
     dispatcher, _, stats = make_dispatcher(replicated, routing=routing, max_batch=100)
     dispatcher.admit(0.0, 0, query, k=2)
     assert stats.hedges_armed == 0  # no observations yet -> no delay anchor
-    assert math.isinf(dispatcher.next_hedge_ns)
+    assert posted(dispatcher, EVENT_HEDGE) == []
 
 
 def test_config_validation():

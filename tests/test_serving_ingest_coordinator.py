@@ -359,7 +359,7 @@ def test_workload_updates_deterministic_and_seed_sensitive():
 def test_dispatcher_rejects_updates_without_a_coordinator():
     _, sharded = small_fleet()
     sessions = [group.sessions() for group in sharded.replica_groups]
-    dispatcher = Dispatcher(sharded, sessions, DispatchConfig(), ServiceStats())
+    dispatcher = Dispatcher(sharded, sessions, DispatchConfig(), ServiceStats(), [])
     with pytest.raises(RuntimeError, match="ingest"):
         dispatcher.admit_update(
             0.0, UpdateArrival(update_id=0, time_ns=0.0, kind="delete", object_id=0)

@@ -1,5 +1,7 @@
 """Tests for repro.serving.replication."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from repro.serving.replication import (
     ReplicaGroup,
     ReplicaRouter,
     RoutingConfig,
-    StallingDevice,
     TimelineDevice,
     build_replica_engines,
 )
@@ -73,14 +74,37 @@ def test_fault_validation():
         FaultSpec(shard=0, replica=0, stall_duration_ns=100.0)
 
 
+def always_stalling(period_ns, duration_ns):
+    """An always-on stall pattern: the open window [0, inf)."""
+    return TimelineDevice(
+        DEVICE_PROFILES["cssd"], events=[(0.0, math.inf, 1.0, period_ns, duration_ns)]
+    )
+
+
 def test_stalling_device_defers_submissions_inside_window():
-    device = StallingDevice(DEVICE_PROFILES["cssd"], period_ns=1000.0, duration_ns=200.0)
+    device = always_stalling(period_ns=1000.0, duration_ns=200.0)
     in_stall = device.submit(1050.0, 512)  # window [1000, 1200): waits
     device.reset()
     clear = device.submit(1200.0, 512)  # just past the window
     assert in_stall == clear
     device.reset()
     assert device.submit(500.0, 512) < in_stall  # mid-period is unaffected
+
+
+def test_stall_deferral_terminates_when_rounding_lands_short_of_the_window_end():
+    """``t - phase + duration`` can round to an ulp *inside* the stall;
+    the re-check must not spin on a deferral that no longer advances."""
+    device = always_stalling(period_ns=50_000.0, duration_ns=16963.00491138953)
+    deferred = device._deferred(100612.6377563971)
+    assert deferred == pytest.approx(116963.00491138953)
+
+
+def test_always_on_stall_fault_builds_an_open_window():
+    fault = FaultSpec(shard=0, replica=0, stall_period_ns=1000.0, stall_duration_ns=200.0)
+    engines, _ = build_replica_engines(MemoryBlockStore(), 0, faults=(fault,))
+    (member,) = engines[0].volume.devices
+    assert isinstance(member, TimelineDevice)
+    assert member.events == ((0.0, math.inf, 1.0, 1000.0, 200.0),)
 
 
 # -- windowed faults (FaultSpec start/stop + TimelineDevice) ------------------

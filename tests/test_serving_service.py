@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.params import E2LSHParams
 from repro.serving.dispatcher import DispatchConfig
-from repro.serving.loadgen import ClosedLoopWorkload, OpenLoopWorkload
+from repro.serving.loadgen import Arrival, ClosedLoopWorkload, OpenLoopWorkload
 from repro.serving.replication import FaultSpec, RoutingConfig
 from repro.serving.service import QueryService
 from repro.serving.sharding import ShardedIndex
@@ -236,3 +236,136 @@ def test_closed_loop_works_with_replicas(replicated, dataset):
     report = service.run_closed_loop(pool, workload, k=K)
     assert report.completed == 30
     assert sorted(service.answers) == list(range(30))
+
+
+# -- tie order through the one event heap --------------------------------------
+#
+# Simulated times are floats out of the device model, so an exact tie is
+# staged in two passes: a probe run records the loop time of the step that
+# completes a sub-query, and the run under test places a hedge deadline /
+# an arrival at precisely that float.  Replays are deterministic up to the
+# staged event, so the tie is exact.
+
+
+def single_shard(dataset, replicas=1):
+    data, _ = dataset
+    return ShardedIndex.build(
+        data, E2LSHParams(n=300), n_shards=1, scheme="hash", seed=13, replicas=replicas
+    )
+
+
+def completing_step_times(monkeypatch, run):
+    """Loop times (session ``next_ready_ns``) of the steps that finished a task."""
+    from repro.storage.engine import EngineSession
+
+    times = []
+    real_step = EngineSession.step
+
+    def recording_step(session):
+        loop_time = session.next_ready_ns
+        completion = real_step(session)
+        if completion is not None:
+            times.append(loop_time)
+        return completion
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EngineSession, "step", recording_step)
+        run()
+    return times
+
+
+def test_completion_at_its_hedge_deadline_disarms_the_timer(dataset, monkeypatch):
+    _, pool = dataset
+    fleet = single_shard(dataset, replicas=2)
+    arrivals = [Arrival(query_id=0, time_ns=0.0, pool_index=0)]
+
+    def serve(hedge_delay_ns):
+        service = QueryService(
+            fleet,
+            dispatch=DispatchConfig(max_batch=1),
+            routing=RoutingConfig(policy="hedged", hedge_delay_ns=hedge_delay_ns),
+        )
+        return service.run_arrivals(pool, arrivals, k=K)
+
+    (done_at,) = completing_step_times(monkeypatch, lambda: serve(1e12))
+    tied = serve(done_at)  # deadline == the completing step's loop time
+    assert (tied.hedges_armed, tied.hedges_cancelled, tied.hedges_issued) == (1, 1, 0)
+    # Control: a deadline just before the completion does fire.
+    early = serve(done_at - 1.0)
+    assert (early.hedges_cancelled, early.hedges_issued) == (0, 1)
+
+
+def test_same_instant_arrival_sees_the_slot_a_completion_freed(dataset, monkeypatch):
+    _, pool = dataset
+    fleet = single_shard(dataset)
+
+    def serve(second_arrival_ns):
+        service = QueryService(
+            fleet, dispatch=DispatchConfig(max_batch=1, queue_capacity=1)
+        )
+        arrivals = [Arrival(query_id=0, time_ns=0.0, pool_index=0)]
+        if second_arrival_ns is not None:
+            arrivals.append(Arrival(query_id=1, time_ns=second_arrival_ns, pool_index=1))
+        return service.run_arrivals(pool, arrivals, k=K)
+
+    (done_at,) = completing_step_times(monkeypatch, lambda: serve(None))
+    tied = serve(done_at)
+    assert (tied.completed, tied.rejected) == (2, 0)
+    # Control: an instant earlier the lane is still full and the query is shed.
+    early = serve(done_at - 1.0)
+    assert (early.completed, early.rejected) == (1, 1)
+
+
+def test_update_at_an_arrivals_instant_runs_after_it(sharded, dataset, monkeypatch):
+    from repro.serving.dispatcher import Dispatcher
+    from repro.serving.ingest import UpdateArrival
+
+    data, pool = dataset
+    order = []
+    for name in ("admit", "admit_update"):
+        real = getattr(Dispatcher, name)
+
+        def recording(self, now_ns, *args, _name=name, _real=real, **kwargs):
+            order.append((_name, now_ns))
+            return _real(self, now_ns, *args, **kwargs)
+
+        monkeypatch.setattr(Dispatcher, name, recording)
+    # update_id 0 < query_id 7: only the tags can put the arrival first.
+    update = UpdateArrival(
+        update_id=0, time_ns=500.0, kind="insert", object_id=300, vector=data[0]
+    )
+    QueryService(sharded).run_arrivals(
+        pool, [Arrival(query_id=7, time_ns=500.0, pool_index=0)], k=K, updates=[update]
+    )
+    assert order == [("admit", 500.0), ("admit_update", 500.0)]
+
+
+def test_stale_entries_are_not_events(replicated, dataset, monkeypatch):
+    """Stale heap entries — even ones far past the end of the run — bump no
+    ``LoopProfile`` count and add no metrics-timeline row."""
+    from repro.serving.dispatcher import Dispatcher
+    from repro.serving.events import EVENT_COMPLETION, EVENT_FLUSH, EVENT_HEDGE
+
+    _, pool = dataset
+
+    def serve():
+        service = QueryService(
+            replicated,
+            routing=RoutingConfig(policy="hedged", hedge_min_observations=4),
+            metrics_interval_ns=50_000.0,
+        )
+        report = service.run_open_loop(pool, open_workload(n_queries=60), k=K)
+        return report, service.loop_profile.event_counts(), service.timeline.as_dict()
+
+    clean = serve()
+    real_init = Dispatcher.__init__
+
+    def littered_init(self, sharded, sessions, config, stats, events, **kwargs):
+        for time_ns in (1.0, 1e9):
+            events.append((time_ns, EVENT_COMPLETION, 0, 0))  # session not ready then
+            events.append((time_ns, EVENT_FLUSH, 1, 1))  # lane empty / due later
+            events.append((time_ns, EVENT_HEDGE, -1, (10**9, 0)))  # never armed
+        real_init(self, sharded, sessions, config, stats, events, **kwargs)
+
+    monkeypatch.setattr(Dispatcher, "__init__", littered_init)
+    assert serve() == clean

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.e2lsh import QueryAnswer
 from repro.core.params import E2LSHParams
-from repro.core.query_stats import QueryStats
+from repro.stats import QueryStats
 from repro.datasets.registry import load_dataset
 from repro.eval.ground_truth import exact_knn
 from repro.eval.ratio import overall_ratio

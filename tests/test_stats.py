@@ -41,11 +41,3 @@ def test_query_stats_merge():
 def test_n_io_infinite_block():
     stats = QueryStats(nonempty_buckets=13)
     assert stats.n_io_infinite_block == pytest.approx(26.0)
-
-
-def test_compat_shim_reexports():
-    from repro.core.query_stats import OpCounts as ShimOps
-    from repro.core.query_stats import QueryStats as ShimStats
-
-    assert ShimOps is OpCounts
-    assert ShimStats is QueryStats
