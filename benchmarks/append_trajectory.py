@@ -1,17 +1,26 @@
-"""Append one serving-benchmark summary line to the perf trajectory.
+"""Append one benchmark summary line to the perf trajectory.
 
 ``BENCH_trajectory.jsonl`` is the committed long-term record: one JSON
-line per benchmark run, each condensing a ``repro-serving-bench/1``
-artifact (the per-row ``wall_events_per_sec`` figures plus the
-simulated-domain fingerprint) so throughput trends survive artifact
-expiry.  The nightly job runs::
+line per benchmark run, so throughput trends survive artifact expiry.
+Two kinds of artifact condense into a line:
 
-    python benchmarks/append_trajectory.py BENCH_fresh.json \
-        --out BENCH_trajectory.jsonl --label nightly-$(date -u +%F)
+- a ``repro-serving-bench/1`` artifact (the per-row
+  ``wall_events_per_sec`` figures plus the simulated-domain
+  fingerprint).  The nightly job runs::
 
-and uploads the updated file; maintainers fold it back into the repo
-when refreshing the baseline.  Lines are append-only and sorted by
-entry time, so ``jq`` / pandas can chart the trajectory directly.
+      python benchmarks/append_trajectory.py BENCH_fresh.json \
+          --out BENCH_trajectory.jsonl --label nightly-$(date -u +%F)
+
+  and uploads the updated file; maintainers fold it back into the repo
+  when refreshing the baseline;
+- a ``layered-bench/1`` suite result (``benchmarks/layered/out/*.json``,
+  written by ``python3 benchmarks/layered/run.py --seed N``): the six
+  end-to-end medians of every workload, with the commit and seed they
+  were measured at.  A PR that claims a host-speed gain commits one
+  line for its parent and one for itself.
+
+Lines are append-only and sorted by entry time, so ``jq`` / pandas can
+chart the trajectory directly.
 """
 
 from __future__ import annotations
@@ -23,14 +32,43 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 SCHEMA = "repro-serving-bench/1"
+LAYERED_SCHEMA = "layered-bench/1"
 TRAJECTORY_SCHEMA = "repro-bench-trajectory/1"
+
+
+def _now() -> str:
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def summarize_layered(artifact: dict, label: str, timestamp: str | None = None) -> dict:
+    """Condense one layered suite result into a single trajectory entry."""
+    meta = artifact["meta"]
+    rows = {}
+    for name, workload in sorted(artifact["workloads"].items()):
+        row = {metric: entry["value"] for metric, entry in workload["end_to_end"].items()}
+        row["failed"] = workload["failed"]
+        row["sim_digest"] = workload["sim_digest"][:12]
+        rows[name] = row
+    return {
+        "schema": TRAJECTORY_SCHEMA,
+        "source": LAYERED_SCHEMA,
+        "label": label,
+        "recorded_at": timestamp or _now(),
+        "commit": meta["git_commit"] + ("+dirty" if meta["git_dirty"] else ""),
+        "seed": meta["seed"],
+        "scale": meta["scale"],
+        "rows": rows,
+    }
 
 
 def summarize(artifact: dict, label: str, timestamp: str | None = None) -> dict:
     """Condense one bench artifact into a single trajectory entry."""
+    if artifact.get("schema") == LAYERED_SCHEMA:
+        return summarize_layered(artifact, label, timestamp)
     if artifact.get("schema") != SCHEMA:
         raise SystemExit(
-            f"error: artifact schema {artifact.get('schema')!r} is not {SCHEMA}"
+            f"error: artifact schema {artifact.get('schema')!r} is neither "
+            f"{SCHEMA} nor {LAYERED_SCHEMA}"
         )
     rows = {}
     for bench, bench_rows in sorted(artifact.get("results", {}).items()):
@@ -55,15 +93,16 @@ def summarize(artifact: dict, label: str, timestamp: str | None = None) -> dict:
     return {
         "schema": TRAJECTORY_SCHEMA,
         "label": label,
-        "recorded_at": timestamp
-        or datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "recorded_at": timestamp or _now(),
         "rows": rows,
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("artifact", help="fresh repro-serving-bench/1 JSON artifact")
+    parser.add_argument(
+        "artifact", help=f"fresh {SCHEMA} artifact or {LAYERED_SCHEMA} suite result (JSON)"
+    )
     parser.add_argument(
         "--out", default="BENCH_trajectory.jsonl", help="trajectory file to append to"
     )

@@ -23,6 +23,7 @@ from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
 from repro.stats import QueryStats
 from repro.core.radii import RadiusLadder
+from repro.utils.validation import require_finite_rows
 
 __all__ = ["E2LSHIndex", "QueryAnswer", "GroupedTable"]
 
@@ -117,7 +118,7 @@ class E2LSHIndex:
         if projections is None:
             projections = self.bank.project(data)
         for radius in self.ladder:
-            hash_values = self.bank.mix32(self.bank.codes_for_radius(projections, radius))
+            hash_values = self.bank.hash_projections(projections, radius)
             self.tables.append([GroupedTable(hash_values[:, li]) for li in range(params.L)])
         del projections
 
@@ -154,8 +155,11 @@ class E2LSHIndex:
             raise ValueError(f"query has d={query.size}, index expects {self.d}")
 
         params = self.params
+        n_tables, budget, c = params.L, params.S, params.c
+        rung_scalar_ops = n_tables * params.m
+        query64 = query.astype(np.float64)
         stats = QueryStats()
-        stats.ops.projection_scalar_ops += self.d * params.L * params.m
+        stats.ops.projection_scalar_ops += self.d * rung_scalar_ops
         projections = self.bank.project(query)
 
         pool_ids = np.empty(0, dtype=np.int64)
@@ -164,31 +168,31 @@ class E2LSHIndex:
         for rung_index, radius in enumerate(self.ladder):
             stats.rungs_searched += 1
             stats.ops.rounds += 1
-            stats.ops.projection_scalar_ops += params.L * params.m  # re-quantize + mix
-            hash_values = self.bank.mix32(self.bank.codes_for_radius(projections, radius))[0]
+            stats.ops.projection_scalar_ops += rung_scalar_ops  # re-quantize + mix
+            hash_values = self.bank.hash_projections(projections, radius)[0]
 
             collected: list[np.ndarray] = []
             total = 0
-            for li in range(params.L):
+            for li in range(n_tables):
                 stats.buckets_probed += 1
                 stats.ops.bucket_lookups += 1
                 ids = self.tables[rung_index][li].lookup(int(hash_values[li])).astype(np.int64)
                 if ids.size == 0:
                     continue
                 stats.nonempty_buckets += 1
-                take = min(ids.size, params.S - total)
+                take = min(ids.size, budget - total)
                 stats.bucket_sizes_examined.append(int(take))
                 if take > 0:
                     collected.append(ids[:take])
                     total += take
-                if total >= params.S:
+                if total >= budget:
                     break
 
             if collected:
                 candidates = np.unique(np.concatenate(collected))
                 new = candidates[~np.isin(candidates, pool_ids, assume_unique=True)]
                 if new.size:
-                    diffs = self.data[new].astype(np.float64) - query.astype(np.float64)
+                    diffs = self.data[new].astype(np.float64) - query64
                     dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
                     stats.candidates_checked += int(new.size)
                     stats.ops.candidate_fetches += int(new.size)
@@ -197,7 +201,7 @@ class E2LSHIndex:
                     pool_dists = np.concatenate([pool_dists, dists])
 
             # (R, c)-NN success: k objects within c * R terminate the ladder.
-            if pool_ids.size and int((pool_dists <= params.c * radius).sum()) >= k:
+            if pool_ids.size and int((pool_dists <= c * radius).sum()) >= k:
                 break
 
         stats.bucket_blocks_read = len(stats.bucket_sizes_examined)
@@ -213,4 +217,5 @@ class E2LSHIndex:
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
+        require_finite_rows(queries, "queries")
         return [self.query(row, k=k) for row in queries]

@@ -38,6 +38,7 @@ from repro.layout.hash_table import SLOT_SIZE
 from repro.storage.blockstore import BlockStore, MemoryBlockStore
 from repro.storage.engine import AsyncIOEngine, Compute, EngineResult, Read, ReadBatch, Task
 from repro.storage.page_cache import PageCache
+from repro.utils.validation import require_finite_rows
 
 __all__ = ["E2LSHoSIndex", "BatchResult"]
 
@@ -138,7 +139,7 @@ class _WavePlan:
         if cached is None:
             built = self.index.built
             bank = built.bank
-            hash_values = bank.mix32(bank.codes_for_radius(self.projections, radius))
+            hash_values = bank.hash_projections(self.projections, radius)
             slots, fingerprints = built.codec.split_hash(hash_values)
             lookup = self.index._rung_lookup(rung_index)
             present = lookup.contains(hash_values)
@@ -301,6 +302,7 @@ class E2LSHoSIndex:
             raise ValueError(f"queries must be a (B, {d}) matrix, got shape {queries.shape}")
         if queries.shape[1] != d:
             raise ValueError(f"queries have d={queries.shape[1]}, index expects {d}")
+        require_finite_rows(queries, "queries")
         stop_k = k if stop_k is None else stop_k
         if stop_k < 1:
             raise ValueError(f"stop_k must be >= 1, got {stop_k}")
@@ -334,10 +336,7 @@ class E2LSHoSIndex:
             for row, ref in enumerate(refs):
                 if ref is None:
                     refs[row] = (wave, fresh[keys[row]])
-        tasks = [self._run_query(plan, col, k, stop_k) for plan, col in refs]
-        if id_map is None:
-            return tasks
-        return [self._remap_ids(task, id_map) for task in tasks]
+        return [self._run_query(plan, col, k, stop_k, id_map) for plan, col in refs]
 
     def query_task(
         self,
@@ -354,14 +353,6 @@ class E2LSHoSIndex:
         queries = np.asarray(query, dtype=np.float32).reshape(1, -1)
         return self.query_tasks(queries, k=k, id_map=id_map, stop_k=stop_k)[0]
 
-    @staticmethod
-    def _remap_ids(task: Task, id_map: np.ndarray) -> Task:
-        answer: QueryAnswer = yield from task
-        ids = id_map[answer.ids] if answer.ids.size else answer.ids
-        return QueryAnswer(
-            ids=np.asarray(ids, dtype=np.int64), distances=answer.distances, stats=answer.stats
-        )
-
     def _rung_lookup(self, rung_index: int) -> _RungLookup:
         lookup = self._rung_lookups.get(rung_index)
         if lookup is None:
@@ -369,7 +360,9 @@ class E2LSHoSIndex:
             self._rung_lookups[rung_index] = lookup
         return lookup
 
-    def _run_query(self, plan: _WavePlan, i: int, k: int, stop_k: int) -> Task:
+    def _run_query(
+        self, plan: _WavePlan, i: int, k: int, stop_k: int, id_map: np.ndarray | None
+    ) -> Task:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         d = self.data.shape[1]
@@ -379,6 +372,15 @@ class E2LSHoSIndex:
         machine = self.machine
         stats = QueryStats()
         query = plan.queries[i]
+        # Everything the rung loop needs from the (immutable) parameters
+        # and layout, bound once.  ``self.data`` is not: a merge may
+        # grow it while this task is parked.
+        n_tables, budget_per_rung = params.L, params.S
+        rung_scalar_ops = n_tables * params.m
+        c = params.c
+        block_size = built.block_size
+        rung_ns, filter_ns = self._rung_ns, self._filter_ns
+        query64 = query.astype(np.float64)
 
         # Hash the query once; rungs reuse the projections (Sec. 5.3).
         # The plan materializes the whole wave's hash state on first
@@ -387,7 +389,7 @@ class E2LSHoSIndex:
         # arithmetic as ``ops.add(OpCounts(...))`` without touching the
         # six zero fields on every simulated event.
         ops = stats.ops
-        ops.projection_scalar_ops += d * params.L * params.m
+        ops.projection_scalar_ops += d * rung_scalar_ops
         yield Compute(self._proj_ns)
 
         pool_ids = np.empty(0, dtype=np.int64)
@@ -397,18 +399,18 @@ class E2LSHoSIndex:
         for rung_index, radius in enumerate(built.ladder):
             stats.rungs_searched += 1
             ops.rounds += 1
-            ops.projection_scalar_ops += params.L * params.m
-            yield Compute(self._rung_ns)
+            ops.projection_scalar_ops += rung_scalar_ops
+            yield Compute(rung_ns)
             _, _, fingerprints, present, addresses = plan.rung(rung_index, radius)
 
             # DRAM occupancy filter: skip I/O for empty buckets (exact
             # membership of the 32-bit value; see _RungLookup).
-            stats.buckets_probed += params.L
+            stats.buckets_probed += n_tables
             probe_cols = np.flatnonzero(present[i])
-            ops.bucket_lookups += params.L
-            yield Compute(self._filter_ns)
+            ops.bucket_lookups += n_tables
+            yield Compute(filter_ns)
 
-            budget = params.S
+            budget = budget_per_rung
             collected: list[np.ndarray] = []
             if probe_cols.size:
                 row_addresses = addresses[i]
@@ -426,7 +428,7 @@ class E2LSHoSIndex:
                 ]
                 stats.nonempty_buckets += len(pending)
                 while pending and budget > 0:
-                    reads = [(address, built.block_size) for address, _ in pending]
+                    reads = [(address, block_size) for address, _ in pending]
                     stats.ios_issued += len(reads)
                     raw_blocks = yield ReadBatch(reads)
                     next_pending: list[tuple[int, int]] = []
@@ -472,7 +474,7 @@ class E2LSHoSIndex:
                 new = candidates[~seen[candidates]]
                 if new.size:
                     seen[new] = True
-                    diffs = self.data[new].astype(np.float64) - query.astype(np.float64)
+                    diffs = self.data[new].astype(np.float64) - query64
                     dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
                     stats.candidates_checked += int(new.size)
                     step = OpCounts(
@@ -484,14 +486,19 @@ class E2LSHoSIndex:
                     pool_ids = np.concatenate([pool_ids, new])
                     pool_dists = np.concatenate([pool_dists, dists])
 
-            if pool_ids.size and int((pool_dists <= params.c * radius).sum()) >= stop_k:
+            if pool_ids.size and int((pool_dists <= c * radius).sum()) >= stop_k:
                 break
 
         if pool_ids.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return QueryAnswer(ids=empty, distances=empty.astype(np.float64), stats=stats)
         order = np.argsort(pool_dists, kind="stable")[:k]
-        return QueryAnswer(ids=pool_ids[order], distances=pool_dists[order], stats=stats)
+        ids = pool_ids[order]
+        if id_map is not None:
+            # Looked up when the task finishes, not when it was planned:
+            # a merge may have filled the (presized) map in between.
+            ids = np.asarray(id_map[ids], dtype=np.int64)
+        return QueryAnswer(ids=ids, distances=pool_dists[order], stats=stats)
 
     # -- batch execution -------------------------------------------------------
 

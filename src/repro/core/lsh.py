@@ -27,6 +27,12 @@ __all__ = ["CompoundHashBank"]
 #: SplitMix64 multiplier used to finalize the 32-bit compound hash value.
 _FINALIZER = np.uint64(0x9E3779B97F4A7C15)
 
+#: Rows hashed per pass of :meth:`CompoundHashBank.hash_projections`.
+#: At ~2k rows the float64/int64 scratch of a few-hundred-column bank
+#: stays cache-resident, where whole-matrix temporaries of an index
+#: build (three ``(n, L*m)`` 8-byte arrays per rung) page-fault instead.
+_HASH_CHUNK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class CompoundHashBank:
@@ -180,6 +186,45 @@ class CompoundHashBank:
         mixed *= _FINALIZER
         return (mixed >> np.uint64(32)).astype(np.uint32)
 
+    def hash_projections(self, projections: np.ndarray, radius: float) -> np.ndarray:
+        """32-bit compound hash values, shape (n, L), of one rung.
+
+        Bitwise ``mix32(codes_for_radius(projections, radius))`` — every
+        step is elementwise or exact modulo 2^64 — fused and run in
+        fixed row chunks through reused scratch: ``divide -> add b ->
+        floor`` in place, one cast to int64 (viewed, not copied, as
+        uint64), the mixer contraction and the finalizer.  This is the
+        hashing path of index builds, maintenance and query planning;
+        the two-step form stays for callers that need the lattice codes
+        themselves (multi-probe perturbs them).
+        """
+        if radius <= 0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        columns = self.L * self.m
+        if projections.ndim != 2 or projections.shape[1] != columns:
+            raise ValueError(f"projections must have shape (n, {columns}), got {projections.shape}")
+        n = projections.shape[0]
+        width = self.w * radius
+        out = np.empty((n, self.L), dtype=np.uint32)
+        rows = max(1, min(n, _HASH_CHUNK_ROWS))
+        scaled_buffer = np.empty((rows, columns), dtype=np.float64)
+        codes_buffer = np.empty((rows, columns), dtype=np.int64)
+        mixed_buffer = np.empty((rows, self.L), dtype=np.uint64)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            count = stop - start
+            scaled, codes, mixed = scaled_buffer[:count], codes_buffer[:count], mixed_buffer[:count]
+            np.divide(projections[start:stop], width, out=scaled)
+            np.add(scaled, self.b, out=scaled)
+            np.floor(scaled, out=scaled)
+            np.copyto(codes, scaled, casting="unsafe")
+            unsigned = codes.view(np.uint64).reshape(count, self.L, self.m)
+            np.einsum("nlm,lm->nl", unsigned, self.mixers, dtype=np.uint64, out=mixed)
+            mixed ^= mixed >> np.uint64(31)
+            mixed *= _FINALIZER
+            out[start:stop] = mixed >> np.uint64(32)
+        return out
+
     def hash_values(self, points: np.ndarray, radius: float) -> np.ndarray:
         """Convenience: 32-bit compound hash values of shape (n, L)."""
-        return self.mix32(self.codes_for_radius(self.project(points), radius))
+        return self.hash_projections(self.project(points), radius)

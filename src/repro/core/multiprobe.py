@@ -104,8 +104,10 @@ class MultiProbeE2LSH:
         if query.size != index.d:
             raise ValueError(f"query has d={query.size}, index expects {index.d}")
 
+        n_tables, m, budget, c = params.L, params.m, params.S, params.c
+        query64 = query.astype(np.float64)
         stats = QueryStats()
-        stats.ops.projection_scalar_ops += index.d * params.L * params.m
+        stats.ops.projection_scalar_ops += index.d * n_tables * m
         projections = bank.project(query)
 
         pool_ids = np.empty(0, dtype=np.int64)
@@ -116,12 +118,12 @@ class MultiProbeE2LSH:
             stats.ops.rounds += 1
             width = bank.w * radius
             scaled = projections[0] / width + bank.b  # fractional lattice coords
-            codes = np.floor(scaled).astype(np.int64).reshape(params.L, params.m)
-            fractions = (scaled - np.floor(scaled)).reshape(params.L, params.m)
+            codes = np.floor(scaled).astype(np.int64).reshape(n_tables, m)
+            fractions = (scaled - np.floor(scaled)).reshape(n_tables, m)
 
             collected: list[np.ndarray] = []
             total = 0
-            for li in range(params.L):
+            for li in range(n_tables):
                 # Home bucket plus query-directed perturbations.
                 lower = fractions[li] ** 2
                 upper = (1.0 - fractions[li]) ** 2
@@ -139,21 +141,21 @@ class MultiProbeE2LSH:
                     if ids.size == 0:
                         continue
                     stats.nonempty_buckets += 1
-                    take = min(ids.size, params.S - total)
+                    take = min(ids.size, budget - total)
                     stats.bucket_sizes_examined.append(int(take))
                     if take > 0:
                         collected.append(ids[:take])
                         total += take
-                    if total >= params.S:
+                    if total >= budget:
                         break
-                if total >= params.S:
+                if total >= budget:
                     break
 
             if collected:
                 candidates = np.unique(np.concatenate(collected))
                 new = candidates[~np.isin(candidates, pool_ids, assume_unique=True)]
                 if new.size:
-                    diffs = index.data[new].astype(np.float64) - query.astype(np.float64)
+                    diffs = index.data[new].astype(np.float64) - query64
                     dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
                     stats.candidates_checked += int(new.size)
                     stats.ops.candidate_fetches += int(new.size)
@@ -161,7 +163,7 @@ class MultiProbeE2LSH:
                     pool_ids = np.concatenate([pool_ids, new])
                     pool_dists = np.concatenate([pool_dists, dists])
 
-            if pool_ids.size and int((pool_dists <= params.c * radius).sum()) >= k:
+            if pool_ids.size and int((pool_dists <= c * radius).sum()) >= k:
                 break
 
         if pool_ids.size == 0:

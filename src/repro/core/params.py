@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.core.collision import collision_probability
 
@@ -37,7 +38,15 @@ DEFAULT_RHO = 0.30
 
 @dataclass(frozen=True)
 class E2LSHParams:
-    """Resolved E2LSH parameters for one database size."""
+    """Resolved E2LSH parameters for one database size.
+
+    ``p1``, ``p2``, ``m``, ``L`` and ``S`` are pure functions of the
+    frozen fields and sit in every query's rung loop, so each is
+    resolved once per instance (``cached_property`` stores into the
+    instance ``__dict__``, which a frozen dataclass allows).  Copies
+    made by ``replace()`` start cold; equality, hashing and ``asdict``
+    see only the declared fields.
+    """
 
     n: int
     c: float = DEFAULT_C
@@ -77,17 +86,17 @@ class E2LSHParams:
             if value is not None and value < 1:
                 raise ValueError(f"{label} must be >= 1, got {value}")
 
-    @property
+    @cached_property
     def p1(self) -> float:
         """Collision probability of points at the rung radius."""
         return float(collision_probability(self.w))
 
-    @property
+    @cached_property
     def p2(self) -> float:
         """Collision probability of points at c times the rung radius."""
         return float(collision_probability(self.w / self.c))
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Hash functions per compound hash: ``ceil(gamma * log_{1/p2} n)``."""
         if self.m_explicit is not None:
@@ -95,14 +104,14 @@ class E2LSHParams:
         base = math.log(max(self.n, 2)) / math.log(1.0 / self.p2)
         return max(1, math.ceil(self.gamma * base))
 
-    @property
+    @cached_property
     def L(self) -> int:
         """Number of compound hashes (hash tables per radius): ``ceil(n^rho)``."""
         if self.L_explicit is not None:
             return self.L_explicit
         return max(1, math.ceil(self.n**self.rho))
 
-    @property
+    @cached_property
     def S(self) -> int:
         """Candidate budget per radius: ``s_factor * L`` (paper: 2L)."""
         if self.S_explicit is not None:

@@ -106,7 +106,7 @@ class IndexUpdater:
 
         projections = built.bank.project(vectors)
         for rung_index, radius in enumerate(built.ladder):
-            hash_values = built.bank.mix32(built.bank.codes_for_radius(projections, radius))
+            hash_values = built.bank.hash_projections(projections, radius)
             for li in range(built.params.L):
                 handle = built.tables[rung_index][li]
                 slots, fingerprints = built.codec.split_hash(hash_values[:, li])
@@ -173,7 +173,7 @@ class IndexUpdater:
         vector = index.data[object_id][None, :]
         projections = built.bank.project(vector)
         for rung_index, radius in enumerate(built.ladder):
-            hash_values = built.bank.mix32(built.bank.codes_for_radius(projections, radius))
+            hash_values = built.bank.hash_projections(projections, radius)
             for li in range(built.params.L):
                 handle = built.tables[rung_index][li]
                 slots, fingerprints = built.codec.split_hash(hash_values[:, li])

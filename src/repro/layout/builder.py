@@ -159,7 +159,7 @@ class IndexBuilder:
         projections = bank.project(data)
         object_ids = np.arange(self.params.n, dtype=np.uint64)
         for radius in self.ladder:
-            hash_values = bank.mix32(bank.codes_for_radius(projections, radius))
+            hash_values = bank.hash_projections(projections, radius)
             rung_tables = [
                 self._build_table(hash_values[:, li], object_ids) for li in range(self.params.L)
             ]

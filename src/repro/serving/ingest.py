@@ -230,17 +230,21 @@ class IngestCoordinator:
                 members = sharded.plan.members(shard_id)
                 self._members.append(members)
                 self._local_counts.append(int(members.size))
-                # Pre-size the global-id map so tasks planned before a
-                # merge hold an array the merge can fill *in place* —
-                # an in-flight query that picks up a just-merged insert
-                # remaps it through the same bound array.
-                if max_inserts > 0 and shard.global_ids is not None:
-                    shard.global_ids = np.concatenate(
-                        [
-                            shard.global_ids,
-                            np.full(max_inserts, -1, dtype=np.int64),
-                        ]
-                    )
+            # Pre-size the global-id map so tasks planned before a
+            # merge hold an array the merge can fill *in place* — an
+            # in-flight query that picks up a just-merged insert remaps
+            # it through the same bound array.  A table-partitioned
+            # shard starts from the identity: its local ids are global
+            # only until an insert is annihilated in DRAM, after which
+            # every later merged insert lands on a store-local id below
+            # its global one.
+            if max_inserts > 0:
+                known = shard.global_ids
+                if known is None:
+                    known = np.arange(self._initial_n, dtype=np.int64)
+                shard.global_ids = np.concatenate(
+                    [known, np.full(max_inserts, -1, dtype=np.int64)]
+                )
         #: Physical gid -> vector for everything inserted this run
         #: (kept for late-applying shards; DRAM at simulation scale).
         self._live_vectors: dict[int, np.ndarray] = {}
@@ -450,15 +454,9 @@ class IngestCoordinator:
         if insert_ids:
             vectors = np.stack([self._live_vectors[gid] for gid in insert_ids])
             local_ids = updater.insert_batch(vectors)
-            local_map = self._local_ids[shard_id]
-            if shard.global_ids is not None:
-                base = int(local_ids[0])
-                for offset, gid in enumerate(insert_ids):
-                    shard.global_ids[base + offset] = gid
-                    local_map[gid] = base + offset
-            else:
-                for local, gid in zip(local_ids.tolist(), insert_ids):
-                    local_map[gid] = int(local)
+            assert shard.global_ids is not None  # presized in __init__
+            shard.global_ids[local_ids] = insert_ids
+            self._local_ids[shard_id].update(zip(insert_ids, local_ids.tolist()))
         for gid in tombstone_ids:
             updater.delete(self._local_id(shard_id, gid))
         shard.index.invalidate_query_caches()
@@ -468,13 +466,12 @@ class IngestCoordinator:
         )
 
     def _local_id(self, shard_id: int, gid: int) -> int:
-        if self._table_scheme:
+        if gid >= self._initial_n:
+            return self._local_ids[shard_id][gid]
+        members = self._members[shard_id]
+        if members is None:  # table partitioning: every shard holds all
             return gid
-        if gid < self._initial_n:
-            members = self._members[shard_id]
-            assert members is not None
-            return int(np.searchsorted(members, gid))
-        return self._local_ids[shard_id][gid]
+        return int(np.searchsorted(members, gid))
 
     def _write_requests(self, shard_id: int, n_ios: int) -> list[tuple[int, int]]:
         """Synthetic maintenance-write addresses, round-robin over stripes."""

@@ -408,8 +408,9 @@ class ReplicaRouter:
         """
         n = len(outstanding)
         if self.config.policy == "least_outstanding":
-            best = min(range(n), key=lambda r: (outstanding[r], r))
-            return best if outstanding[best] < capacity else None
+            least = min(outstanding)
+            # First replica at the minimum: ties go to the lowest index.
+            return outstanding.index(least) if least < capacity else None
         # round_robin and hedged: cycle, skipping lanes at capacity.
         cursor = self._cursors[shard]
         for step in range(n):

@@ -440,6 +440,8 @@ class QueryService:
         pool = np.asarray(pool, dtype=np.float32)
         if pool.ndim == 1:
             pool = pool[None, :]
-        if pool.ndim != 2 or pool.shape[0] < 1:
-            raise ValueError(f"query pool must be (m, d) with m >= 1, got {pool.shape}")
+        if pool.ndim != 2 or pool.shape[0] < 1 or pool.shape[1] < 1:
+            raise ValueError(
+                f"pool must be a non-empty (m, d) query matrix, got shape {pool.shape}"
+            )
         return pool

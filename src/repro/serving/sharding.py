@@ -162,7 +162,9 @@ class Shard:
     index: E2LSHoSIndex
     engine: AsyncIOEngine
     #: ``global_ids[local_id] == global object id``; ``None`` when local
-    #: IDs already are global (table partitioning holds all objects).
+    #: IDs already are global (table partitioning holds all objects —
+    #: until an ingest run, which installs the identity map and lets
+    #: merges extend it: see ``IngestCoordinator``).
     global_ids: np.ndarray | None
     #: Denominator of the termination quota: the number of shards the
     #: *objects* are spread over (1 under table partitioning — every

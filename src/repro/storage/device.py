@@ -25,6 +25,7 @@ paper measures IOPS at 512 bytes "in order not to be bandwidth-limited".
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -107,13 +108,16 @@ class StorageDevice:
 
     def __init__(self, profile: DeviceProfile) -> None:
         self.profile = profile
-        self._channel_free_ns = [0.0] * profile.channels
-        self._last_departure_ns = -math.inf
-        self.stats = DeviceStats()
+        #: Request length -> (service time, regulator gap); both depend
+        #: only on the frozen profile, and reads come in two sizes.
+        self._timing_ns: dict[int, tuple[float, float]] = {}
+        self.reset()
 
     def reset(self) -> None:
         """Forget all bookings and statistics."""
-        self._channel_free_ns = [0.0] * self.profile.channels
+        # ``(free_ns, channel)`` min-heap: the root is the earliest-free
+        # channel, ties going to the lowest channel index.
+        self._channels = [(0.0, channel) for channel in range(self.profile.channels)]
         self._last_departure_ns = -math.inf
         self.stats = DeviceStats()
 
@@ -139,19 +143,26 @@ class StorageDevice:
         """Book a random read of ``length`` bytes; return its completion time."""
         if length <= 0:
             raise ValueError(f"length must be positive, got {length}")
+        timing = self._timing_ns.get(length)
+        if timing is None:
+            timing = (self._service_time_ns(length), self._regulator_gap_ns(length))
+            self._timing_ns[length] = timing
+        service_ns, gap_ns = timing
         # Earliest-free channel (FCFS over a pool of parallel service units).
-        channel = min(range(len(self._channel_free_ns)), key=self._channel_free_ns.__getitem__)
-        start = max(submit_ns, self._channel_free_ns[channel])
-        completion = start + self._service_time_ns(length) * self._latency_scale(start)
+        channels = self._channels
+        free_ns, channel = channels[0]
+        start = max(submit_ns, free_ns)
+        completion = start + service_ns * self._latency_scale(start)
         # Departure regulator: completions cannot come faster than max_iops.
-        completion = max(completion, self._last_departure_ns + self._regulator_gap_ns(length))
-        self._channel_free_ns[channel] = completion
+        completion = max(completion, self._last_departure_ns + gap_ns)
+        heapq.heapreplace(channels, (completion, channel))
         self._last_departure_ns = completion
 
-        self.stats.completed += 1
-        self.stats.total_latency_ns += completion - submit_ns
-        self.stats.first_submit_ns = min(self.stats.first_submit_ns, submit_ns)
-        self.stats.last_completion_ns = max(self.stats.last_completion_ns, completion)
+        stats = self.stats
+        stats.completed += 1
+        stats.total_latency_ns += completion - submit_ns
+        stats.first_submit_ns = min(stats.first_submit_ns, submit_ns)
+        stats.last_completion_ns = max(stats.last_completion_ns, completion)
         return completion
 
     def __repr__(self) -> str:

@@ -340,6 +340,7 @@ class EngineSession:
         if not self._ready:
             return None
         engine = self.engine
+        interface = engine.interface
         ready_ns, _, item = self._ready[0]
         if type(item) is _Wave:
             # Take the next member in submission order; the wave entry
@@ -410,28 +411,30 @@ class EngineSession:
             # Writes book the same device time as reads (compaction and
             # queries compete for one IOPS budget) but are tallied on
             # their own counters and carry no store payload back.
+            overhead_ns = interface.cpu_overhead_ns
+            submit = engine.volume.submit
+            io_cpu_ns = self.io_cpu_ns
             completions = []
             for address, length in requests:
-                now += engine.interface.cpu_overhead_ns
-                self.io_cpu_ns += engine.interface.cpu_overhead_ns
-                completions.append(engine.volume.submit(now, address, length))
-                if is_write:
-                    self.write_count += 1
-                    self.write_bytes += length
-                else:
-                    self.io_count += 1
+                now += overhead_ns
+                io_cpu_ns += overhead_ns
+                completions.append(submit(now, address, length))
+            self.io_cpu_ns = io_cpu_ns
+            done_ns = max(completions)
             if is_write:
+                self.write_count += len(requests)
+                self.write_bytes += sum(length for _, length in requests)
                 payload: Any = None
             else:
-                data = [engine.store.read(address, length) for address, length in requests]
+                self.io_count += len(requests)
+                read = engine.store.read
+                data = [read(address, length) for address, length in requests]
                 payload = data[0] if isinstance(action, Read) else data
-            done_ns = max(completions)
             if profile is not None:
-                overhead = engine.interface.cpu_overhead_ns * len(requests)
-                profile.io_cpu_ns += overhead
+                profile.io_cpu_ns += overhead_ns * len(requests)
                 profile.io_count += len(requests)
 
-            if engine.interface.synchronous:
+            if interface.synchronous:
                 # Figure 1(A): the CPU blocks until the data arrives.
                 self.stall_ns += max(0.0, done_ns - now)
                 if profile is not None:

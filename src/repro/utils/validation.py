@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 __all__ = [
     "require",
     "as_int",
     "require_positive",
     "require_in_range",
     "require_power_of_two",
+    "require_finite_rows",
 ]
 
 
@@ -43,3 +46,14 @@ def as_int(value: Any, name: str) -> int:
     if result != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return result
+
+
+def require_finite_rows(matrix: np.ndarray, name: str) -> None:
+    """Raise, naming the first offending row, unless every entry is finite.
+
+    One vectorized check for a whole ``(rows, d)`` matrix; the row scan
+    only runs on the failure path.
+    """
+    if not np.isfinite(matrix).all():
+        row = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+        raise ValueError(f"{name} row {row} has a NaN or infinite component")

@@ -313,3 +313,33 @@ def test_report_rejects_non_trace_file(tmp_path):
     assert "error" in text
     code, text = run_cli("report", str(tmp_path / "missing.json"))
     assert code == 1
+
+
+def _poisoned_loader(module, monkeypatch, row):
+    """Make ``module.load_dataset`` hand back a dataset whose query
+    ``row`` holds a NaN — what a corrupt query file would look like."""
+    genuine = module.load_dataset
+
+    def load(*args, **kwargs):
+        dataset = genuine(*args, **kwargs)
+        queries = dataset.queries.copy()
+        queries[row, 0] = float("nan")
+        return dataset.with_queries(queries)
+
+    monkeypatch.setattr(module, "load_dataset", load)
+
+
+def test_non_finite_queries_are_a_one_line_error(tmp_path, monkeypatch):
+    import repro.cli
+    import repro.serving.scenario
+
+    prefix = str(tmp_path / "idx")
+    run_cli("build", "--dataset", "sift", "--n", "1200", "--queries", "4", "--out", prefix)
+    _poisoned_loader(repro.cli, monkeypatch, row=2)
+    with pytest.raises(SystemExit, match="^error: queries row 2 has a NaN"):
+        run_cli("query", "--dataset", "sift", "--n", "1200", "--queries", "4", "--index", prefix)
+    # The service plans pool queries one wave at a time; the first wave
+    # that carries the bad vector is refused.
+    _poisoned_loader(repro.serving.scenario, monkeypatch, row=0)
+    with pytest.raises(SystemExit, match="^error: queries row [0-9]+ has a NaN"):
+        run_cli(*SMALL_LOADTEST, "--zipf", "3.0")

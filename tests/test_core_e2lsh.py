@@ -121,3 +121,12 @@ def test_grouped_table_lookup():
     assert sorted(table.lookup(5).tolist()) == [0, 1]
     assert table.lookup(7).size == 0
     np.testing.assert_array_equal(np.sort(table.bucket_sizes()), [1, 2, 3])
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_query_batch_rejects_non_finite_rows_by_name(clustered, index, poison):
+    _, queries = clustered
+    bad = queries.copy()
+    bad[7, 0] = poison
+    with pytest.raises(ValueError, match="queries row 7 "):
+        index.query_batch(bad, k=1)

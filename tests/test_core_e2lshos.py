@@ -157,3 +157,18 @@ def test_validation(setup):
         next(storage.query_task(np.zeros(3, dtype=np.float32)))
     with pytest.raises(ValueError):
         E2LSHoSIndex(storage.built, data[:10])
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rows_are_rejected_by_name(setup, poison):
+    """A NaN/inf query would hash to an arbitrary lattice cell and report
+    NaN distances; the wave is refused before anything is planned."""
+    _, queries, _, storage = setup
+    bad = queries.copy()
+    bad[3, 5] = poison
+    with pytest.raises(ValueError, match="queries row 3 "):
+        storage.query_tasks(bad, k=1)
+    with pytest.raises(ValueError, match="queries row 0 "):
+        storage.query_task(bad[3], k=1)
+    with pytest.raises(ValueError, match="queries row 3 "):
+        run(storage, bad)

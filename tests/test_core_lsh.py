@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.lsh as lsh
 from repro.core.lsh import CompoundHashBank
 
 
@@ -134,3 +135,69 @@ def test_select_tables_validation(bank):
         bank.select_tables([bank.L])
     with pytest.raises(ValueError):
         bank.select_tables([-1])
+
+
+# -- the fused, chunked hash kernel against the two-step form it replaces ----
+
+
+def _two_step(bank, projections, radius):
+    """The oracle: materialize lattice codes, then mix them."""
+    return bank.mix32(bank.codes_for_radius(projections, radius))
+
+
+CHUNK = lsh._HASH_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_hash_projections_is_bitwise_the_two_step_form(bank, n):
+    rng = np.random.default_rng(n)
+    projections = rng.normal(scale=40.0, size=(n, bank.L * bank.m))
+    # Negative, signed-zero, just-below-an-integer and huge projections:
+    # floor, the int64 cast and the uint64 reinterpretation must all
+    # agree with the oracle (beyond +-2^63 both go through the same C
+    # cast, whatever it yields on this platform).
+    edge = np.array([-0.0, -1e-300, -1.0, -3.0 * bank.w, 2.0**52, -(2.0**62), 1e19, -1e19, 1e300])
+    projections[-1, : edge.size] = edge
+    projections[0, -edge.size :] = -edge
+    with np.errstate(invalid="ignore"):
+        for radius in (0.37, 1.0, 64.0):
+            got = bank.hash_projections(projections, radius)
+            want = _two_step(bank, projections, radius)
+            assert got.dtype == want.dtype == np.uint32
+            assert got.shape == want.shape == (n, bank.L)
+            np.testing.assert_array_equal(got, want)
+
+
+def test_hash_projections_on_derived_banks_and_strided_input(bank):
+    rng = np.random.default_rng(5)
+    points = rng.normal(scale=10.0, size=(CHUNK + 3, bank.d)).astype(np.float32)
+    full = bank.project(points)
+    narrow = bank.with_m(2)
+    sliced = bank.select_tables([3, 0])
+    for derived, projections in (
+        # A column gather of the full-bank projections (non-contiguous
+        # source rows are fine: the kernel only reads its input).
+        (narrow, bank.select_projection_columns(full, 2)),
+        (sliced, sliced.project(points)),
+        (bank, np.asfortranarray(full)),
+        (bank, full[::-1]),
+    ):
+        np.testing.assert_array_equal(
+            derived.hash_projections(projections, 1.7), _two_step(derived, projections, 1.7)
+        )
+    # ... and it never writes to what it was handed.
+    before = full.copy()
+    bank.hash_projections(full, 0.5)
+    np.testing.assert_array_equal(full, before)
+    np.testing.assert_array_equal(
+        bank.hash_values(points, 2.0), _two_step(bank, bank.project(points), 2.0)
+    )
+
+
+def test_hash_projections_validation(bank):
+    projections = np.zeros((3, bank.L * bank.m))
+    with pytest.raises(ValueError, match="radius must be positive"):
+        bank.hash_projections(projections, 0.0)
+    with pytest.raises(ValueError, match="projections must have shape"):
+        bank.hash_projections(projections[:, :-1], 1.0)
+    assert bank.hash_projections(projections[:0], 1.0).shape == (0, bank.L)

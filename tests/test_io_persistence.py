@@ -50,7 +50,14 @@ def test_roundtrip_preserves_metadata(built):
     tmp_path, data, queries, store, index = built
     save_index(index, tmp_path / "index.npz")
     loaded = load_index(tmp_path / "index.npz", store, data)
-    assert loaded.params == index.params
+    assert loaded.params == index.params and hash(loaded.params) == hash(index.params)
+    # The derived values resolve from the loaded fields, not from a
+    # cache that travelled with the file.
+    assert (loaded.params.m, loaded.params.L, loaded.params.S) == (
+        index.params.m,
+        index.params.L,
+        index.params.S,
+    )
     assert loaded.ladder.radii == index.ladder.radii
     assert loaded.storage_bytes == index.storage_bytes
     assert loaded.built.codec.table_bits == index.built.codec.table_bits

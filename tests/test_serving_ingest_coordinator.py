@@ -10,7 +10,7 @@ distribution and are never folded into the query percentiles.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from repro.serving import (
     run_scenario,
     workload_updates,
 )
+from repro.serving.catalog import CatalogScale, steady_ingest
 from repro.serving.stats import ServiceStats
 from repro.storage.engine import EngineResult
 
@@ -364,3 +365,113 @@ def test_dispatcher_rejects_updates_without_a_coordinator():
         dispatcher.admit_update(
             0.0, UpdateArrival(update_id=0, time_ns=0.0, kind="delete", object_id=0)
         )
+
+
+# -- store-local vs global ids under table partitioning (id-drift bugfix) ----
+
+
+def _assert_answers_verify(answers, queries, vectors, deleted=()):
+    """Every (id, distance) pair is the float64 distance to the vector
+    held for that id; no object is reported twice, none is deleted."""
+    for answer, query in zip(answers, queries):
+        ids = answer.ids.tolist()
+        assert len(set(ids)) == len(ids), f"duplicate object in {ids}"
+        assert not set(ids) & set(deleted)
+        diffs = vectors[answer.ids].astype(np.float64) - query.astype(np.float64)
+        exact = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
+        np.testing.assert_allclose(answer.distances, exact, rtol=1e-9, atol=1e-9)
+        assert np.all(np.diff(answer.distances) >= 0)
+
+
+def test_merged_insert_keeps_its_global_id_after_an_annihilated_pair():
+    """An insert annihilated in DRAM never reaches the store, so under
+    table partitioning every later merged insert sits at a store-local
+    id below its global id.  Answers, tombstones and later deletes must
+    all keep speaking global ids."""
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(N, D)).astype(np.float32)
+    params = E2LSHParams(n=N, s_factor=64.0)  # scan budget never truncates
+    sharded = ShardedIndex.build(data, params, n_shards=2, scheme="table", seed=3)
+    pool = data[:1].copy()
+    near = (data[0] + 1e-3).astype(np.float32)
+    late = 80_000_000.0
+    updates = [
+        UpdateArrival(update_id=0, time_ns=10.0, kind="insert", object_id=N, vector=data[1]),
+        UpdateArrival(update_id=1, time_ns=20.0, kind="delete", object_id=N),
+        # Global ids N+1 and N+2 merge into store-local ids N and N+1.
+        UpdateArrival(update_id=2, time_ns=30.0, kind="insert", object_id=N + 1, vector=data[0]),
+        UpdateArrival(update_id=3, time_ns=40.0, kind="insert", object_id=N + 2, vector=near),
+        UpdateArrival(update_id=4, time_ns=late, kind="delete", object_id=N + 1),
+    ]
+    arrivals = [
+        Arrival(query_id=0, time_ns=40_000_000.0, pool_index=0),  # after the merge
+        Arrival(query_id=1, time_ns=120_000_000.0, pool_index=0),  # after the delete
+    ]
+    service, report = run_with_updates(
+        sharded, pool, updates, ingest=IngestConfig(merge_threshold=2), arrivals=arrivals
+    )
+    assert report.updates_completed == 5 and report.merges_completed >= 1
+    vectors = np.vstack([data, data[1][None], data[0][None], near[None]])
+    before, after = service.answers[0], service.answers[1]
+    _assert_answers_verify([before, after], [pool[0], pool[0]], vectors)
+    assert {0, N + 1, N + 2} <= set(before.ids.tolist())
+    assert N not in before.ids.tolist()
+    # The delete removed N+1 itself, not whatever sits at local id N+1.
+    assert N + 1 not in after.ids.tolist()
+    assert {0, N + 2} <= set(after.ids.tolist())
+
+    # Offline compaction, then the batch path: still global ids, and
+    # the same answers as a from-scratch build over the survivors.
+    service.ingest.compact_now()
+    served = sharded.run(pool, k=K).answers
+    survivors = np.array([*range(N), N + 2])
+    _assert_answers_verify(served, pool, vectors, deleted=(N, N + 1))
+    rebuilt = ShardedIndex.build(
+        vectors[survivors],
+        replace(
+            params,
+            n=survivors.size,
+            m_explicit=params.m,
+            L_explicit=params.L,
+            S_explicit=params.S,
+        ),
+        n_shards=2,
+        scheme="table",
+        seed=3,
+        ladder=sharded.shards[0].index.built.ladder,
+    )
+    for got, fresh in zip(served, rebuilt.run(pool, k=K).answers):
+        assert np.array_equal(got.ids, survivors[fresh.ids])
+        assert np.array_equal(got.distances, fresh.distances)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_unfiltered_steady_ingest_stream_verifies_every_answer(seed):
+    """The catalog's ``steady-ingest`` stream at the layered benchmark's
+    size, with the deletes aimed at scheduled inserts left in (the
+    benchmark filters them out): 50 and 28 of 1024 answers named an
+    object twice or under a store-local id before the fix."""
+    size = CatalogScale(n=6000, pool_queries=256, requests=1024, qps=4000.0)
+    spec = replace(steady_ingest(size), seed=seed)
+    result = run_scenario(spec)
+    report = result.report
+    data = result.index.dataset.data
+    updates = workload_updates(spec.workload, data, spec.seed)
+    # Nothing shed, so scheduled ids are the physical ids.
+    assert report.updates_rejected == 0 and report.updates_noop == 0
+    assert any(u.kind == "delete" and u.object_id >= data.shape[0] for u in updates)
+    vectors = np.vstack([data, *[u.vector[None, :] for u in updates if u.kind == "insert"]])
+    pool = result.index.dataset.queries
+    records = sorted(result.records, key=lambda r: r.query_id)
+    assert len(records) == spec.workload.requests
+    _assert_answers_verify(
+        [result.answers[r.query_id] for r in records],
+        pool[[r.pool_index for r in records]],
+        vectors,
+    )
+    # After offline compaction the static fleet alone answers in global
+    # ids and never reports a deleted object.
+    result.service.ingest.compact_now()
+    deleted = [u.object_id for u in updates if u.kind == "delete"]
+    served = result.index.sharded.run(pool, k=spec.k).answers
+    _assert_answers_verify(served, pool, vectors, deleted=deleted)

@@ -369,3 +369,10 @@ def test_stale_entries_are_not_events(replicated, dataset, monkeypatch):
 
     monkeypatch.setattr(Dispatcher, "__init__", littered_init)
     assert serve() == clean
+
+
+@pytest.mark.parametrize("shape", [(0, 16), (0,), (3, 0)])
+def test_zero_length_query_pool_is_rejected_by_name(sharded, shape):
+    arrivals = [Arrival(query_id=0, time_ns=0.0, pool_index=0)]
+    with pytest.raises(ValueError, match="pool must be a non-empty"):
+        QueryService(sharded).run_arrivals(np.empty(shape, dtype=np.float32), arrivals, k=K)

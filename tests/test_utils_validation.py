@@ -1,9 +1,11 @@
 """Tests for repro.utils.validation."""
 
+import numpy as np
 import pytest
 
 from repro.utils.validation import (
     require,
+    require_finite_rows,
     require_in_range,
     require_positive,
     require_power_of_two,
@@ -36,3 +38,12 @@ def test_require_power_of_two():
     for bad in (0, -2, 3, 513):
         with pytest.raises(ValueError):
             require_power_of_two(bad, "x")
+
+
+def test_require_finite_rows_names_the_first_bad_row():
+    matrix = np.zeros((4, 3), dtype=np.float32)
+    require_finite_rows(matrix, "queries")
+    matrix[2, 1] = np.inf
+    matrix[3, 0] = np.nan
+    with pytest.raises(ValueError, match="queries row 2 has a NaN or infinite component"):
+        require_finite_rows(matrix, "queries")
