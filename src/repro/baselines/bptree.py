@@ -1,26 +1,28 @@
 """Bulk-loaded B+ tree over (float key, int value) pairs.
 
 This is QALSH's index substrate: one tree per hash function, keyed by
-the projection ``a_i . o`` with the object ID as value.  The tree
-supports the two access patterns QALSH needs:
+the projection ``a_i . o`` with the object ID as value.  A bulk-loaded,
+immutable B+ tree is fully described by its sorted entries plus
+``(leaf_capacity, fanout)``: leaf ``j`` is entries
+``[j * leaf_capacity, (j + 1) * leaf_capacity)``, a root-to-leaf descent
+ends at the first entry with key >= x (one ``searchsorted``) after
+``height`` node visits, and a window walk touches every leaf between
+its two end positions.  The tree is stored as exactly that, and the
+operation counts of the paged walk are computed from positions:
 
-- :meth:`locate`: descend to the first entry with key >= x (counting
-  node visits), and
-- :meth:`window`: gather all entries with keys in [lo, hi) by walking
-  linked leaves from a located position (counting leaf visits and
-  entries scanned).
-
-Leaves store their keys/values as NumPy arrays so window gathering is
-vectorized per leaf while the structure remains a genuine paged tree.
+- :meth:`rank` / :meth:`locate`: first entry with key >= x, and
+- :meth:`window`: all entries with keys in [lo, hi), counting node
+  visits, leaf visits and entries scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["BPlusTree", "TraversalCounters"]
+__all__ = ["BPlusTree", "TraversalCounters", "LeafView"]
 
 
 @dataclass
@@ -32,23 +34,11 @@ class TraversalCounters:
     entries_scanned: int = 0
 
 
-class _Leaf:
-    __slots__ = ("keys", "values", "next", "prev")
+class LeafView(NamedTuple):
+    """The entries of one leaf page (views into the tree's arrays)."""
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
-        self.keys = keys
-        self.values = values
-        self.next: _Leaf | None = None
-        self.prev: _Leaf | None = None
-
-
-class _Internal:
-    __slots__ = ("separators", "children")
-
-    def __init__(self, separators: np.ndarray, children: list) -> None:
-        # separators[i] = smallest key in children[i + 1].
-        self.separators = separators
-        self.children = children
+    keys: np.ndarray
+    values: np.ndarray
 
 
 class BPlusTree:
@@ -70,62 +60,42 @@ class BPlusTree:
         if leaf_capacity < 2 or fanout < 2:
             raise ValueError("leaf_capacity and fanout must be >= 2")
         order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        values = values[order]
-
+        #: Entries in key order; leaf j is the j-th run of ``leaf_capacity``.
+        self.keys = keys[order]
+        self.values = values[order]
         self.leaf_capacity = leaf_capacity
         self.fanout = fanout
         self.n_entries = int(keys.size)
-
-        leaves = [
-            _Leaf(keys[i : i + leaf_capacity], values[i : i + leaf_capacity])
-            for i in range(0, keys.size, leaf_capacity)
-        ]
-        for left, right in zip(leaves, leaves[1:]):
-            left.next = right
-            right.prev = left
-        self.leaves = leaves
+        #: Levels from the leaves up to a single root.
         self.height = 1
-
-        level: list = leaves
-        level_min_keys = [float(leaf.keys[0]) for leaf in leaves]
-        while len(level) > 1:
-            parents = []
-            parent_mins = []
-            for i in range(0, len(level), fanout):
-                children = level[i : i + fanout]
-                mins = level_min_keys[i : i + fanout]
-                parents.append(_Internal(np.array(mins[1:], dtype=np.float64), children))
-                parent_mins.append(mins[0])
-            level = parents
-            level_min_keys = parent_mins
+        level = -(-self.n_entries // leaf_capacity)
+        while level > 1:
+            level = -(-level // fanout)
             self.height += 1
-        self.root = level[0]
 
     # -- lookups -------------------------------------------------------------
 
-    def locate(self, key: float, counters: TraversalCounters | None = None) -> tuple[_Leaf, int]:
+    def rank(self, keys: np.ndarray) -> np.ndarray:
+        """Position of the first entry >= each of ``keys`` (``n`` if none).
+
+        Each probe stands for one root-to-leaf descent: ``height`` node
+        visits, charged by the caller.
+        """
+        return self.keys.searchsorted(keys, side="left")
+
+    def locate(self, key: float, counters: TraversalCounters | None = None) -> tuple[LeafView, int]:
         """Leaf and in-leaf index of the first entry with key >= ``key``.
 
         If every key is smaller, returns the last leaf with an index one
         past its end.
         """
-        counters = counters if counters is not None else TraversalCounters()
-        node = self.root
-        while isinstance(node, _Internal):
-            counters.node_visits += 1
-            # side="left": when key equals a separator, duplicates of the
-            # key may extend into the child *before* the separator, and
-            # "first entry >= key" must find them.
-            child = int(np.searchsorted(node.separators, key, side="left"))
-            node = node.children[child]
-        counters.node_visits += 1
-        counters.leaf_visits += 1
-        index = int(np.searchsorted(node.keys, key, side="left"))
-        if index == node.keys.size and node.next is not None:
-            # Key falls in a gap between leaves: normalize to the next leaf.
-            return node.next, 0
-        return node, index
+        if counters is not None:
+            counters.node_visits += self.height
+            counters.leaf_visits += 1
+        position = int(self.rank(key))
+        start = min(position, self.n_entries - 1) // self.leaf_capacity * self.leaf_capacity
+        stop = start + self.leaf_capacity
+        return LeafView(self.keys[start:stop], self.values[start:stop]), position - start
 
     def window(
         self,
@@ -136,39 +106,26 @@ class BPlusTree:
         """All (keys, values) with ``lo <= key < hi`` in ascending order."""
         if hi < lo:
             raise ValueError(f"empty window: hi={hi} < lo={lo}")
-        counters = counters if counters is not None else TraversalCounters()
-        leaf, index = self.locate(lo, counters)
-        keys_out: list[np.ndarray] = []
-        values_out: list[np.ndarray] = []
-        while leaf is not None:
-            if index > 0:
-                keys = leaf.keys[index:]
-                values = leaf.values[index:]
-            else:
-                keys, values = leaf.keys, leaf.values
-            if keys.size == 0:
-                break
+        first, last = self.rank((lo, hi)).tolist()
+        if counters is not None:
+            counters.node_visits += self.height
+            counters.entries_scanned += last - first
+            # The descent's leaf, then every leaf from ``first``'s to the
+            # one holding ``last`` (the walk stops inside it, or runs off
+            # the final leaf when ``last`` is past every key).
             counters.leaf_visits += 1
-            stop = int(np.searchsorted(keys, hi, side="left"))
-            counters.entries_scanned += stop
-            if stop > 0:
-                keys_out.append(keys[:stop])
-                values_out.append(values[:stop])
-            if stop < keys.size:
-                break
-            leaf = leaf.next
-            index = 0
-        if not keys_out:
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        return np.concatenate(keys_out), np.concatenate(values_out)
+            if first < self.n_entries:
+                end = min(last, self.n_entries - 1)
+                counters.leaf_visits += end // self.leaf_capacity - first // self.leaf_capacity + 1
+        return self.keys[first:last], self.values[first:last]
 
     def min_key(self) -> float:
         """Smallest key in the tree."""
-        return float(self.leaves[0].keys[0])
+        return float(self.keys[0])
 
     def max_key(self) -> float:
         """Largest key in the tree."""
-        return float(self.leaves[-1].keys[-1])
+        return float(self.keys[-1])
 
     def __len__(self) -> int:
         return self.n_entries

@@ -21,14 +21,16 @@ ratio ``c`` (Sec. 3.3: "for lack of other tweakable parameters").
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
-from repro.baselines.bptree import BPlusTree, TraversalCounters
+from repro.baselines.bptree import BPlusTree
 from repro.core.collision import query_aware_collision_probability
 from repro.core.e2lsh import QueryAnswer
 from repro.stats import OpCounts, QueryStats
 from repro.utils.rng import rng_for
+from repro.utils.validation import require_finite_rows
 
 __all__ = ["QALSHIndex", "qalsh_parameters", "DEFAULT_DELTA"]
 
@@ -116,22 +118,23 @@ class QALSHIndex:
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         if query.size != self.d:
             raise ValueError(f"query has d={query.size}, index expects {self.d}")
+        require_finite_rows(query[None, :], "queries")
         c = c if c is not None else self.c
         if c <= 1:
             raise ValueError(f"c must be > 1, got {c}")
 
         projected_query = query @ self.directions
-        counts = np.zeros(self.n, dtype=np.int16)
+        counts = np.zeros(self.n, dtype=np.int64)
         checked = np.zeros(self.n, dtype=bool)
         #: Per-tree already-covered window [lo, hi) — grown each round.
-        window_lo = projected_query.copy()
-        window_hi = projected_query.copy()
+        window_lo = projected_query
+        window_hi = projected_query
         budget = self.beta_count + k - 1
-        counters = TraversalCounters()
+        node_visits = 0
+        entries_scanned = 0
 
         best_ids: list[int] = []
         best_dists: list[float] = []
-        distance_ops = 0
         candidates_checked = 0
         rounds = 0
 
@@ -140,42 +143,45 @@ class QALSHIndex:
         while True:
             rounds += 1
             half_width = self.w * radius / 2.0
-            new_candidates: list[np.ndarray] = []
-            for i, tree in enumerate(self.trees):
-                center = projected_query[i]
-                lo, hi = center - half_width, center + half_width
-                # Only the not-yet-covered flanks are new this round.
-                for flank_lo, flank_hi in ((lo, window_lo[i]), (window_hi[i], hi)):
-                    if flank_hi <= flank_lo:
-                        continue
-                    _, ids = tree.window(flank_lo, flank_hi, counters)
-                    if ids.size == 0:
-                        continue
-                    np.add.at(counts, ids, 1)
-                    hit = ids[(counts[ids] >= self.threshold) & ~checked[ids]]
-                    if hit.size:
-                        new_candidates.append(np.unique(hit))
-                window_lo[i], window_hi[i] = lo, hi
+            lo, hi = projected_query - half_width, projected_query + half_width
+            # Only the not-yet-covered flanks [lo, window_lo) and
+            # [window_hi, hi) are new this round: four descents per tree
+            # find both, and a flank that did not grow costs nothing.
+            probes = np.stack((lo, window_lo, window_hi, hi), axis=1)
+            grew_lo, grew_hi = (lo < window_lo).tolist(), (window_hi < hi).tolist()
+            flanks: list[np.ndarray] = []
+            for tree, probe, left, right in zip(self.trees, probes, grew_lo, grew_hi):
+                lo0, lo1, hi0, hi1 = tree.rank(probe).tolist()
+                if left:
+                    node_visits += tree.height
+                    entries_scanned += lo1 - lo0
+                    flanks.append(tree.values[lo0:lo1])
+                if right:
+                    node_visits += tree.height
+                    entries_scanned += hi1 - hi0
+                    flanks.append(tree.values[hi0:hi1])
+            window_lo, window_hi = lo, hi
+            if flanks:
+                counts += np.bincount(np.concatenate(flanks), minlength=self.n)
 
-            if new_candidates:
-                candidates = np.unique(np.concatenate(new_candidates))
-                candidates = candidates[~checked[candidates]]
-                room = budget - candidates_checked
-                candidates = candidates[:room]
-                if candidates.size:
-                    checked[candidates] = True
-                    diffs = self.data[candidates].astype(np.float64) - query
-                    dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
-                    distance_ops += int(candidates.size) * self.d
-                    candidates_checked += int(candidates.size)
-                    for obj, dist in zip(candidates.tolist(), dists.tolist()):
-                        position = np.searchsorted(best_dists, dist)
-                        if position < k:
-                            best_dists.insert(position, dist)
-                            best_ids.insert(position, obj)
-                            if len(best_dists) > k:
-                                best_dists.pop()
-                                best_ids.pop()
+            # Counts only grow and a round that leaves candidates
+            # unchecked ends the query, so every unchecked object at the
+            # threshold crossed it this round.
+            candidates = np.flatnonzero((counts >= self.threshold) & ~checked)
+            candidates = candidates[: budget - candidates_checked]
+            if candidates.size:
+                checked[candidates] = True
+                diffs = self.data[candidates].astype(np.float64) - query
+                dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
+                candidates_checked += int(candidates.size)
+                for obj, dist in zip(candidates.tolist(), dists.tolist()):
+                    position = bisect_left(best_dists, dist)
+                    if position < k:
+                        best_dists.insert(position, dist)
+                        best_ids.insert(position, obj)
+                        if len(best_dists) > k:
+                            best_dists.pop()
+                            best_ids.pop()
 
             # T1: answer good enough for this radius; T2: budget exhausted.
             if len(best_dists) == k and best_dists[-1] <= c * radius:
@@ -189,10 +195,10 @@ class QALSHIndex:
         stats = QueryStats(
             ops=OpCounts(
                 projection_scalar_ops=self.d * self.m,
-                distance_scalar_ops=distance_ops,
+                distance_scalar_ops=candidates_checked * self.d,
                 candidate_fetches=candidates_checked,
-                btree_entry_scans=counters.entries_scanned,
-                tree_node_visits=counters.node_visits,
+                btree_entry_scans=entries_scanned,
+                tree_node_visits=node_visits,
                 rounds=rounds,
             ),
             candidates_checked=candidates_checked,
@@ -211,4 +217,5 @@ class QALSHIndex:
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
+        require_finite_rows(queries, "queries")
         return [self.query(row, k=k, c=c) for row in queries]

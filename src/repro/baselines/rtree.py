@@ -14,13 +14,14 @@ sorted and sliced along successive dimensions until slices fit a leaf.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RTree", "NNCounters"]
+__all__ = ["RTree", "NNCounters", "min_dist_sq"]
 
 
 @dataclass
@@ -33,28 +34,38 @@ class NNCounters:
 
 
 class _Node:
-    __slots__ = ("lower", "upper", "children", "point_ids")
+    """One page: ``entries`` are point ids (leaf) or child nodes (internal).
+
+    ``entry_lower`` / ``entry_upper`` stack the entries' rectangles row by
+    row (a leaf's points are degenerate rectangles, stored once), so
+    scoring every entry of a page against a query is one pass.
+    """
+
+    __slots__ = ("is_leaf", "entries", "entry_lower", "entry_upper", "lower", "upper")
 
     def __init__(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        children: list["_Node"] | None,
-        point_ids: np.ndarray | None,
+        self, is_leaf: bool, entries: list, entry_lower: np.ndarray, entry_upper: np.ndarray
     ) -> None:
-        self.lower = lower
-        self.upper = upper
-        self.children = children
-        self.point_ids = point_ids
+        self.is_leaf = is_leaf
+        self.entries = entries
+        self.entry_lower = entry_lower
+        self.entry_upper = entry_upper
+        #: The page's own bounding rectangle.
+        self.lower = entry_lower.min(axis=0)
+        self.upper = entry_upper.max(axis=0)
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.point_ids is not None
+    def entry_dist_sq(self, query: np.ndarray) -> np.ndarray:
+        """Squared distance from ``query`` to each entry of this page."""
+        if self.is_leaf:
+            deltas = self.entry_lower - query
+            return np.einsum("nm,nm->n", deltas, deltas)
+        return min_dist_sq(self.entry_lower, self.entry_upper, query)
 
-    def min_dist_sq(self, query: np.ndarray) -> float:
-        """Squared distance from ``query`` to the bounding rectangle."""
-        delta = np.maximum(self.lower - query, 0.0) + np.maximum(query - self.upper, 0.0)
-        return float((delta**2).sum())
+
+def min_dist_sq(lower: np.ndarray, upper: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Squared distance from ``query`` to each rectangle of a stack."""
+    delta = np.maximum(lower - query, 0.0) + np.maximum(query - upper, 0.0)
+    return (delta**2).sum(axis=-1)
 
 
 class RTree:
@@ -80,26 +91,29 @@ class RTree:
     # -- construction ----------------------------------------------------------
 
     def _build(self, ids: np.ndarray, depth: int) -> _Node:
-        subset = self.points[ids]
-        lower = subset.min(axis=0)
-        upper = subset.max(axis=0)
         if ids.size <= self.leaf_capacity:
-            return _Node(lower, upper, children=None, point_ids=ids)
+            points = self.points[ids]
+            return _Node(True, ids.tolist(), points, points)
         # STR slice: sort along the cycling dimension, cut into fanout slabs.
         dim = depth % self.points.shape[1]
-        order = ids[np.argsort(subset[:, dim], kind="stable")]
+        order = ids[np.argsort(self.points[ids, dim], kind="stable")]
         n_slabs = min(self.fanout, math.ceil(ids.size / self.leaf_capacity))
         slab_size = math.ceil(ids.size / n_slabs)
         children = [
             self._build(order[i : i + slab_size], depth + 1)
             for i in range(0, ids.size, slab_size)
         ]
-        return _Node(lower, upper, children=children, point_ids=None)
+        return _Node(
+            False,
+            children,
+            np.stack([child.lower for child in children]),
+            np.stack([child.upper for child in children]),
+        )
 
     def _count_nodes(self, node: _Node) -> int:
         if node.is_leaf:
             return 1
-        return 1 + sum(self._count_nodes(child) for child in node.children)
+        return 1 + sum(self._count_nodes(child) for child in node.entries)
 
     @property
     def memory_bytes(self) -> int:
@@ -121,34 +135,29 @@ class RTree:
                 f"query has m={query.size}, tree expects {self.points.shape[1]}"
             )
         counters = counters if counters is not None else NNCounters()
+        root = self.root
         # Heap entries: (squared distance, tiebreak, is_point, payload).
-        counter = 0
+        tiebreak = itertools.count()
         heap: list[tuple[float, int, bool, object]] = [
-            (self.root.min_dist_sq(query), counter, False, self.root)
+            (float(min_dist_sq(root.lower, root.upper, query)), next(tiebreak), False, root)
         ]
         counters.heap_ops += 1
+        push, pop = heapq.heappush, heapq.heappop
         while heap:
-            dist_sq, _, is_point, payload = heapq.heappop(heap)
+            dist_sq, _, is_point, payload = pop(heap)
             counters.heap_ops += 1
             if is_point:
                 counters.points_returned += 1
-                yield math.sqrt(dist_sq), int(payload)  # type: ignore[arg-type]
+                yield math.sqrt(dist_sq), payload  # type: ignore[misc]
                 continue
             node: _Node = payload  # type: ignore[assignment]
             counters.node_visits += 1
-            if node.is_leaf:
-                ids = node.point_ids
-                deltas = self.points[ids] - query
-                dists = np.einsum("nm,nm->n", deltas, deltas)
-                for point_dist, point_id in zip(dists.tolist(), ids.tolist()):
-                    counter += 1
-                    heapq.heappush(heap, (point_dist, counter, True, point_id))
-                    counters.heap_ops += 1
-            else:
-                for child in node.children:
-                    counter += 1
-                    heapq.heappush(heap, (child.min_dist_sq(query), counter, False, child))
-                    counters.heap_ops += 1
+            counters.heap_ops += len(node.entries)
+            # One kernel scores the whole page; its entries are points
+            # exactly when the page is a leaf.
+            scores = node.entry_dist_sq(query).tolist()
+            for item in zip(scores, tiebreak, itertools.repeat(node.is_leaf), node.entries):
+                push(heap, item)
 
     def knn(self, query: np.ndarray, k: int) -> list[tuple[float, int]]:
         """Exact k nearest points in the projected space (testing helper)."""

@@ -21,6 +21,9 @@ uses SRS as the representative state-of-the-art small-index method.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+
 import numpy as np
 from scipy.stats import chi2
 
@@ -28,6 +31,7 @@ from repro.baselines.rtree import NNCounters, RTree
 from repro.core.e2lsh import QueryAnswer
 from repro.stats import OpCounts, QueryStats
 from repro.utils.rng import rng_for
+from repro.utils.validation import require_finite_rows
 
 __all__ = ["SRSIndex", "DEFAULT_EARLY_STOP_CONFIDENCE"]
 
@@ -103,6 +107,7 @@ class SRSIndex:
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         if query.size != self.d:
             raise ValueError(f"query has d={query.size}, index expects {self.d}")
+        require_finite_rows(query[None, :], "queries")
         budget = t_prime if t_prime is not None else self.n
         if budget < k:
             raise ValueError(f"t_prime={budget} smaller than k={k}")
@@ -112,14 +117,13 @@ class SRSIndex:
         best_ids: list[int] = []
         best_dists: list[float] = []
         examined = 0
-        distance_ops = 0
 
         for projected_dist, point_id in self.tree.incremental_nn(projected_query, counters):
             examined += 1
-            true_dist = float(np.linalg.norm(self.data[point_id].astype(np.float64) - query))
-            distance_ops += self.d
+            diff = self.data[point_id] - query  # float32 row promoted exactly
+            true_dist = math.sqrt(diff.dot(diff))
             # Maintain the running top-k (insertion into a short list).
-            position = np.searchsorted(best_dists, true_dist)
+            position = bisect_left(best_dists, true_dist)
             if position < k:
                 best_dists.insert(position, true_dist)
                 best_ids.insert(position, point_id)
@@ -138,7 +142,7 @@ class SRSIndex:
         stats = QueryStats(
             ops=OpCounts(
                 projection_scalar_ops=self.d * self.m,
-                distance_scalar_ops=distance_ops,
+                distance_scalar_ops=examined * self.d,
                 candidate_fetches=examined,
                 tree_node_visits=counters.node_visits,
                 heap_ops=counters.heap_ops,
@@ -158,4 +162,5 @@ class SRSIndex:
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
+        require_finite_rows(queries, "queries")
         return [self.query(row, k=k, t_prime=t_prime) for row in queries]

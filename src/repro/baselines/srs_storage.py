@@ -16,15 +16,17 @@ for a tree workload (the ablation benchmark) — not a production index.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.baselines.rtree import _Node
+from repro.baselines.rtree import _Node, min_dist_sq
 from repro.baselines.srs import SRSIndex
 from repro.storage.blockstore import BlockStore
 from repro.storage.engine import Compute, ReadBatch, Task
+from repro.utils.validation import require_finite_rows
 
 __all__ = ["StorageSRS", "build_storage_srs"]
 
@@ -36,12 +38,10 @@ _HEADER = struct.Struct("<BB6x")
 _VISIT_NS = 150.0
 
 
-@dataclass
-class _NodeRecord:
+class _NodeRecord(NamedTuple):
     is_leaf: bool
     entries: np.ndarray  # point ids or child addresses
-    lower: np.ndarray
-    upper: np.ndarray
+    node: _Node  # the DRAM-resident rectangles of those entries
 
 
 class StorageSRS:
@@ -54,16 +54,14 @@ class StorageSRS:
         self.store = store
         self.prefetch = prefetch
         #: DRAM-resident per-node rectangles (small), keyed by address.
-        self._rects: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._nodes: dict[int, _Node] = {}
         self.root_address = self._persist(srs.tree.root)
 
     def _persist(self, node: _Node) -> int:
-        if node.is_leaf:
-            entries = node.point_ids.astype(np.uint64)
-        else:
-            entries = np.array(
-                [self._persist(child) for child in node.children], dtype=np.uint64
-            )
+        entries = np.array(
+            node.entries if node.is_leaf else [self._persist(child) for child in node.entries],
+            dtype=np.uint64,
+        )
         if 16 + entries.size * 8 > _NODE_RECORD:
             raise ValueError(
                 f"node with {entries.size} entries exceeds the {_NODE_RECORD}-byte record"
@@ -73,57 +71,51 @@ class StorageSRS:
         record += entries.astype("<u8").tobytes()
         record += b"\x00" * (_NODE_RECORD - len(record))
         self.store.write(address, record)
-        self._rects[address] = (node.lower, node.upper)
+        self._nodes[address] = node
         return address
 
     def _decode(self, raw: bytes, address: int) -> _NodeRecord:
         is_leaf, count = _HEADER.unpack_from(raw)
-        entries = np.frombuffer(raw, dtype="<u8", count=count, offset=8).astype(np.uint64)
-        lower, upper = self._rects[address]
-        return _NodeRecord(is_leaf=bool(is_leaf), entries=entries, lower=lower, upper=upper)
+        entries = np.frombuffer(raw, dtype="<u8", count=count, offset=8)
+        return _NodeRecord(bool(is_leaf), entries, self._nodes[address])
 
     def query_task(self, query: np.ndarray, k: int, t_prime: int) -> Task:
         """Engine task: asynchronous best-first NN over on-storage nodes."""
-        return self._run(np.asarray(query, dtype=np.float64).reshape(-1), k, t_prime, True)
+        return self._run(query, k, t_prime, self.prefetch)
 
     def query_task_sync_order(self, query: np.ndarray, k: int, t_prime: int) -> Task:
         """Same walk, but one node read per batch (no prefetching)."""
-        return self._run(np.asarray(query, dtype=np.float64).reshape(-1), k, t_prime, False)
+        return self._run(query, k, t_prime, 1)
 
-    def _run(self, query: np.ndarray, k: int, t_prime: int, prefetch: bool) -> Task:
+    def _run(self, query: np.ndarray, k: int, t_prime: int, width: int) -> Task:
         if k < 1 or t_prime < k:
             raise ValueError("need k >= 1 and t_prime >= k")
+        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        require_finite_rows(query[None, :], "queries")
         srs = self.srs
         projected_query = query @ srs.projection
-        points = srs.projected
-
-        def min_dist_sq(address: int) -> float:
-            lower, upper = self._rects[address]
-            delta = np.maximum(lower - projected_query, 0.0) + np.maximum(
-                projected_query - upper, 0.0
-            )
-            return float((delta**2).sum())
+        root = self._nodes[self.root_address]
 
         counter = 0
         # Frontier of (score, tiebreak, is_point, payload).
         frontier: list[tuple[float, int, bool, int]] = [
-            (min_dist_sq(self.root_address), counter, False, self.root_address)
+            (
+                float(min_dist_sq(root.lower, root.upper, projected_query)),
+                counter,
+                False,
+                self.root_address,
+            )
         ]
         best: list[tuple[float, int]] = []
         examined = 0
         while frontier and examined < t_prime:
             # Pop points cheaply; gather the next node addresses to read.
             to_read: list[int] = []
-            width = self.prefetch if prefetch else 1
             while frontier and len(to_read) < width:
                 score, _, is_point, payload = heapq.heappop(frontier)
                 if is_point:
-                    true_dist = float(
-                        np.linalg.norm(
-                            srs.data[payload].astype(np.float64) - query
-                        )
-                    )
-                    heapq.heappush(best, (-true_dist, payload))
+                    diff = srs.data[payload] - query
+                    heapq.heappush(best, (-math.sqrt(diff.dot(diff)), payload))
                     if len(best) > k:
                         heapq.heappop(best)
                     examined += 1
@@ -136,18 +128,13 @@ class StorageSRS:
             yield Compute(_VISIT_NS * len(to_read))
             raw_nodes = yield ReadBatch([(address, _NODE_RECORD) for address in to_read])
             for raw, address in zip(raw_nodes, to_read):
+                # The record names the entries (point ids or child
+                # addresses); the resident rectangles score them.
                 record = self._decode(raw, address)
-                if record.is_leaf:
-                    ids = record.entries.astype(np.int64)
-                    deltas = points[ids] - projected_query
-                    dists = np.einsum("nm,nm->n", deltas, deltas)
-                    for dist, point_id in zip(dists.tolist(), ids.tolist()):
-                        counter += 1
-                        heapq.heappush(frontier, (dist, counter, True, point_id))
-                else:
-                    for child in record.entries.tolist():
-                        counter += 1
-                        heapq.heappush(frontier, (min_dist_sq(child), counter, False, child))
+                scores = record.node.entry_dist_sq(projected_query).tolist()
+                for score, entry in zip(scores, record.entries.tolist()):
+                    counter += 1
+                    heapq.heappush(frontier, (score, counter, record.is_leaf, entry))
 
         ordered = sorted((-neg, obj) for neg, obj in best)
         ids = np.array([obj for _, obj in ordered], dtype=np.int64)

@@ -15,9 +15,13 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.stats import QueryStats
+import numpy as np
 
-__all__ = ["MethodRun", "TunedMethod", "tune_to_ratio", "DEFAULT_TARGET_RATIO"]
+from repro.eval.ground_truth import GroundTruth
+from repro.eval.ratio import overall_ratio
+from repro.stats import OpCounts, QueryStats
+
+__all__ = ["MethodRun", "TunedMethod", "method_run", "tune_to_ratio", "DEFAULT_TARGET_RATIO"]
 
 #: The paper's default accuracy target.
 DEFAULT_TARGET_RATIO = 1.05
@@ -39,6 +43,27 @@ class MethodRun:
     def meets(self, target_ratio: float) -> bool:
         """True when this run hits the accuracy target."""
         return self.overall_ratio <= target_ratio
+
+
+def method_run(
+    knob: float,
+    answers: list[Any],
+    truth: GroundTruth,
+    k: int,
+    time_ns: Callable[[OpCounts], float],
+) -> MethodRun:
+    """Score one knob setting's answers: overall ratio and modeled time.
+
+    ``time_ns`` is the machine model's cost of one query's operation
+    counts; the run's time is its mean over the query set.
+    """
+    return MethodRun(
+        knob=knob,
+        overall_ratio=overall_ratio([a.distances for a in answers], truth, k=k),
+        mean_time_ns=float(np.mean([time_ns(a.stats.ops) for a in answers])),
+        stats=[a.stats for a in answers],
+        answers=answers,
+    )
 
 
 @dataclass

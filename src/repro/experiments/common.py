@@ -35,8 +35,7 @@ from repro.core.radii import RadiusLadder
 from repro.datasets.base import Dataset
 from repro.datasets.registry import DATASET_SPECS
 from repro.eval.ground_truth import GroundTruth, exact_knn
-from repro.eval.harness import MethodRun, TunedMethod, tune_to_ratio
-from repro.eval.ratio import overall_ratio
+from repro.eval.harness import MethodRun, TunedMethod, method_run, tune_to_ratio
 from repro.experiments.config import ExperimentScale
 from repro.storage.blockstore import MemoryBlockStore
 from repro.storage.engine import AsyncIOEngine
@@ -119,21 +118,6 @@ class E2LSHSweep:
         return self.indices[self.tuned.selected.knob]
 
 
-def _run_e2lsh_index(
-    index: E2LSHIndex, queries: np.ndarray, truth: GroundTruth, k: int, knob: float
-) -> MethodRun:
-    answers = index.query_batch(queries, k=k)
-    ratio = overall_ratio([a.distances for a in answers], truth, k=k)
-    times = [MACHINE.inmemory_e2lsh_ns(a.stats.ops) for a in answers]
-    return MethodRun(
-        knob=knob,
-        overall_ratio=ratio,
-        mean_time_ns=float(np.mean(times)),
-        stats=[a.stats for a in answers],
-        answers=answers,
-    )
-
-
 @lru_cache(maxsize=None)
 def _e2lsh_indices(
     name: str, scale: ExperimentScale
@@ -170,7 +154,8 @@ def tuned_e2lsh(name: str, scale: ExperimentScale, k: int = 1) -> E2LSHSweep:
     indices, bank_full, ladder = _e2lsh_indices(name, scale)
 
     def run_fn(gamma: float) -> MethodRun:
-        return _run_e2lsh_index(indices[gamma], dataset.queries, truth, k, gamma)
+        answers = indices[gamma].query_batch(dataset.queries, k=k)
+        return method_run(gamma, answers, truth, k, MACHINE.inmemory_e2lsh_ns)
 
     tuned = tune_to_ratio("e2lsh", run_fn, scale.gammas, scale.target_ratio)
     return E2LSHSweep(tuned=tuned, indices=indices, bank_full=bank_full, ladder=ladder)
@@ -197,15 +182,7 @@ def tuned_srs(name: str, scale: ExperimentScale, k: int = 1) -> TunedMethod:
     def run_fn(fraction: float) -> MethodRun:
         t_prime = max(k, math.ceil(fraction * dataset.n))
         answers = index.query_batch(dataset.queries, k=k, t_prime=t_prime)
-        ratio = overall_ratio([a.distances for a in answers], truth, k=k)
-        times = [MACHINE.compute_ns(a.stats.ops) for a in answers]
-        return MethodRun(
-            knob=fraction,
-            overall_ratio=ratio,
-            mean_time_ns=float(np.mean(times)),
-            stats=[a.stats for a in answers],
-            answers=answers,
-        )
+        return method_run(fraction, answers, truth, k, MACHINE.compute_ns)
 
     return tune_to_ratio("srs", run_fn, scale.srs_fractions, scale.target_ratio)
 
@@ -219,15 +196,7 @@ def tuned_qalsh(name: str, scale: ExperimentScale, k: int = 1) -> TunedMethod:
 
     def run_fn(c: float) -> MethodRun:
         answers = index.query_batch(dataset.queries, k=k, c=c)
-        ratio = overall_ratio([a.distances for a in answers], truth, k=k)
-        times = [MACHINE.compute_ns(a.stats.ops) for a in answers]
-        return MethodRun(
-            knob=c,
-            overall_ratio=ratio,
-            mean_time_ns=float(np.mean(times)),
-            stats=[a.stats for a in answers],
-            answers=answers,
-        )
+        return method_run(c, answers, truth, k, MACHINE.compute_ns)
 
     return tune_to_ratio("qalsh", run_fn, scale.qalsh_cs, scale.target_ratio)
 
