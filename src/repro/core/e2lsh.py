@@ -15,6 +15,7 @@ soon as k objects lie within ``c * R`` (the (R, c)-NN success condition).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,14 +52,38 @@ class GroupedTable:
     __slots__ = ("keys", "offsets", "ids")
 
     def __init__(self, hash_values: np.ndarray) -> None:
-        order = np.argsort(hash_values, kind="stable")
-        sorted_values = hash_values[order]
-        boundaries = np.flatnonzero(np.diff(sorted_values)) + 1
-        self.keys = sorted_values[np.concatenate(([0], boundaries))] if sorted_values.size else sorted_values
-        # int32/uint32 throughout: one table stores n entries and the
-        # experiments keep hundreds of tables alive, so width matters.
-        self.offsets = np.concatenate(([0], boundaries, [sorted_values.size])).astype(np.int32)
-        self.ids = order.astype(np.int32)
+        (only,) = self.for_rung(hash_values[:, None])
+        self.keys: np.ndarray = only.keys
+        self.offsets: np.ndarray = only.offsets
+        self.ids: np.ndarray = only.ids
+
+    @classmethod
+    def for_rung(cls, hash_values: np.ndarray) -> list["GroupedTable"]:
+        """The L tables of one rung's (n, L) hash values, grouped by one sort.
+
+        Sorting ``(key << 32) | row`` orders each table as a stable
+        argsort of its keys would (ties break on the row).  Lossless
+        only for keys in ``[0, 2**32)`` and ``n < 2**31`` (ids are int32).
+        """
+        n = hash_values.shape[0]
+        packed = hash_values.T.astype(np.uint64, order="C")
+        packed <<= np.uint64(32)
+        packed |= np.arange(n, dtype=np.uint64)
+        packed.sort(axis=1)
+        tables = []
+        for row in packed:
+            table = cls.__new__(cls)
+            sorted_values = row >> np.uint64(32)
+            boundaries = np.flatnonzero(np.diff(sorted_values)) + 1
+            # An empty table has no first key: [:n] drops the 0.
+            firsts = sorted_values[np.concatenate(([0], boundaries))[:n]]
+            table.keys = firsts.astype(hash_values.dtype)
+            # int32/uint32 throughout: one table stores n entries and the
+            # experiments keep hundreds of tables alive, so width matters.
+            table.offsets = np.concatenate(([0], boundaries, [n])).astype(np.int32)
+            table.ids = (row & np.uint64(0xFFFFFFFF)).astype(np.int32)
+            tables.append(table)
+        return tables
 
     @property
     def n_buckets(self) -> int:
@@ -95,32 +120,64 @@ class E2LSHIndex:
         projections: np.ndarray | None = None,
     ) -> None:
         data = np.ascontiguousarray(data, dtype=np.float32)
+        if bank is None:
+            bank = CompoundHashBank.create(
+                d=data.shape[-1], m=params.m, L=params.L, w=params.w, seed=seed
+            )
+            projections = None  # projections must match the bank
+        self._adopt(data, params, ladder, bank)
+        self._fill_tables([self], bank, projections)
+
+    @classmethod
+    def for_gammas(
+        cls,
+        data: np.ndarray,
+        params_list: Sequence[E2LSHParams],
+        ladder: RadiusLadder,
+        bank: CompoundHashBank,
+    ) -> list["E2LSHIndex"]:
+        """One index per ``params``, each as if constructed on ``bank.with_m(params.m)``.
+
+        Built rung-outer: gamma only changes m (Sec. 3.3), so a rung's
+        lattice codes are computed once for the whole sweep.
+        """
+        indices = [cls.__new__(cls) for _ in params_list]
+        for index, params in zip(indices, params_list):
+            index._adopt(data, params, ladder, bank.with_m(params.m))
+        cls._fill_tables(indices, bank, None)
+        return indices
+
+    def _adopt(
+        self, data: np.ndarray, params: E2LSHParams, ladder: RadiusLadder | None, bank: CompoundHashBank
+    ) -> None:
+        data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 2 or data.shape[0] < 1:
             raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
         if params.n != data.shape[0]:
             raise ValueError(f"params.n={params.n} != n={data.shape[0]}")
-        self.data = data
-        self.params = params
-        self.ladder = ladder or RadiusLadder.for_data(data, params.c)
-        if bank is None:
-            bank = CompoundHashBank.create(
-                d=data.shape[1], m=params.m, L=params.L, w=params.w, seed=seed
-            )
-            projections = None  # projections must match the bank
         if bank.m != params.m or bank.L != params.L:
             raise ValueError(
                 f"bank has (m={bank.m}, L={bank.L}), params need "
                 f"(m={params.m}, L={params.L}); use bank.with_m()"
             )
+        self.data = data
+        self.params = params
+        self.ladder = ladder or RadiusLadder.for_data(data, params.c)
         self.bank = bank
         # tables[rung][li] — built once, queried many times.
         self.tables: list[list[GroupedTable]] = []
+
+    @staticmethod
+    def _fill_tables(
+        indices: "Sequence[E2LSHIndex]", bank: CompoundHashBank, projections: np.ndarray | None
+    ) -> None:
+        """Hash and group each rung once for ``indices`` (on prefix banks of ``bank``)."""
         if projections is None:
-            projections = self.bank.project(data)
-        for radius in self.ladder:
-            hash_values = self.bank.hash_projections(projections, radius)
-            self.tables.append([GroupedTable(hash_values[:, li]) for li in range(params.L)])
-        del projections
+            projections = bank.project(indices[0].data)
+        widths = [index.params.m for index in indices]
+        for radius in indices[0].ladder:
+            for index, hash_values in zip(indices, bank.hash_prefixes(projections, radius, widths)):
+                index.tables.append(GroupedTable.for_rung(hash_values))
 
     # -- introspection ----------------------------------------------------
 

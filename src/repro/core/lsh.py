@@ -48,6 +48,13 @@ class CompoundHashBank:
     L: int
     w: float
 
+    def __post_init__(self) -> None:
+        columns, shapes = self.L * self.m, (self.a.shape[1:], self.b.shape, self.mixers.shape)
+        if self.a.ndim != 2 or shapes != ((columns,), (columns,), (self.L, self.m)):
+            raise ValueError(
+                f"bank arrays {self.a.shape}, {shapes[1]}, {shapes[2]} do not fit m={self.m}, L={self.L}"
+            )
+
     @classmethod
     def create(cls, d: int, m: int, L: int, w: float, seed: int) -> "CompoundHashBank":
         """Sample a bank for ``d``-dimensional data."""
@@ -115,15 +122,18 @@ class CompoundHashBank:
         )
 
     def select_projection_columns(self, projections: np.ndarray, m_new: int) -> np.ndarray:
-        """Restrict full-bank projections to the first ``m_new`` per table."""
+        """The first ``m_new`` projections per table, row-major (the input at full width)."""
         if projections.shape[1] != self.L * self.m:
             raise ValueError(
                 f"projections have {projections.shape[1]} columns, expected {self.L * self.m}"
             )
-        columns = (
-            np.arange(self.L)[:, None] * self.m + np.arange(m_new)[None, :]
-        ).reshape(-1)
-        return projections[:, columns]
+        if not 1 <= m_new <= self.m:
+            raise ValueError(f"m_new must be in [1, {self.m}], got {m_new}")
+        if m_new == self.m:
+            return projections
+        n = projections.shape[0]
+        prefix = projections.reshape(n, self.L, self.m)[:, :, :m_new]
+        return np.ascontiguousarray(prefix).reshape(n, self.L * m_new)
 
     @property
     def memory_bytes(self) -> int:
@@ -189,23 +199,36 @@ class CompoundHashBank:
     def hash_projections(self, projections: np.ndarray, radius: float) -> np.ndarray:
         """32-bit compound hash values, shape (n, L), of one rung.
 
-        Bitwise ``mix32(codes_for_radius(projections, radius))`` — every
-        step is elementwise or exact modulo 2^64 — fused and run in
-        fixed row chunks through reused scratch: ``divide -> add b ->
-        floor`` in place, one cast to int64 (viewed, not copied, as
-        uint64), the mixer contraction and the finalizer.  This is the
-        hashing path of index builds, maintenance and query planning;
-        the two-step form stays for callers that need the lattice codes
+        Bitwise ``mix32(codes_for_radius(projections, radius))``, as the
+        single-width case of :meth:`hash_prefixes`.  This is the hashing
+        path of index builds, maintenance and query planning; the
+        two-step form stays for callers that need the lattice codes
         themselves (multi-probe perturbs them).
+        """
+        return self.hash_prefixes(projections, radius, (self.m,))[0]
+
+    def hash_prefixes(
+        self, projections: np.ndarray, radius: float, widths: Sequence[int]
+    ) -> list[np.ndarray]:
+        """One rung's (n, L) hash values under ``with_m(m_new)`` for each width.
+
+        A prefix bank's lattice codes are a column prefix of this bank's,
+        so a gamma sweep quantizes once.  Every step is elementwise or
+        exact modulo 2^64, fused and run in fixed row chunks through
+        reused scratch: ``divide -> add b -> floor`` in place, one cast
+        to int64 (viewed as uint64), then per width the mixer
+        contraction over a view of the codes and the finalizer.
         """
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         columns = self.L * self.m
         if projections.ndim != 2 or projections.shape[1] != columns:
             raise ValueError(f"projections must have shape (n, {columns}), got {projections.shape}")
+        if not all(1 <= m_new <= self.m for m_new in widths):
+            raise ValueError(f"widths must be in [1, {self.m}], got {tuple(widths)}")
         n = projections.shape[0]
         width = self.w * radius
-        out = np.empty((n, self.L), dtype=np.uint32)
+        outs = [np.empty((n, self.L), dtype=np.uint32) for _ in widths]
         rows = max(1, min(n, _HASH_CHUNK_ROWS))
         scaled_buffer = np.empty((rows, columns), dtype=np.float64)
         codes_buffer = np.empty((rows, columns), dtype=np.int64)
@@ -219,11 +242,13 @@ class CompoundHashBank:
             np.floor(scaled, out=scaled)
             np.copyto(codes, scaled, casting="unsafe")
             unsigned = codes.view(np.uint64).reshape(count, self.L, self.m)
-            np.einsum("nlm,lm->nl", unsigned, self.mixers, dtype=np.uint64, out=mixed)
-            mixed ^= mixed >> np.uint64(31)
-            mixed *= _FINALIZER
-            out[start:stop] = mixed >> np.uint64(32)
-        return out
+            for out, m_new in zip(outs, widths):
+                prefix, mixers = unsigned[:, :, :m_new], self.mixers[:, :m_new]
+                np.einsum("nlm,lm->nl", prefix, mixers, dtype=np.uint64, out=mixed)
+                mixed ^= mixed >> np.uint64(31)
+                mixed *= _FINALIZER
+                out[start:stop] = mixed >> np.uint64(32)
+        return outs
 
     def hash_values(self, points: np.ndarray, radius: float) -> np.ndarray:
         """Convenience: 32-bit compound hash values of shape (n, L)."""

@@ -103,19 +103,9 @@ class E2LSHSweep:
     """A tuned E2LSH plus the index of the selected run."""
 
     tuned: TunedMethod
-    #: gamma -> built index (kept so E2LSHoS can reuse hash functions).
+    #: gamma -> built index.
     indices: dict[float, E2LSHIndex]
-    bank_full: CompoundHashBank
     ladder: RadiusLadder
-
-    def index_at(self, gamma: float) -> E2LSHIndex:
-        """The in-memory index built for one gamma of the sweep."""
-        return self.indices[gamma]
-
-    @property
-    def selected_index(self) -> E2LSHIndex:
-        """Index of the selected (accuracy-target) run."""
-        return self.indices[self.tuned.selected.knob]
 
 
 @lru_cache(maxsize=None)
@@ -124,9 +114,11 @@ def _e2lsh_indices(
 ) -> tuple[dict[float, E2LSHIndex], CompoundHashBank, RadiusLadder]:
     """Build the in-memory index for every gamma of the sweep (cached).
 
-    One full-width hash bank is sampled once; every gamma reuses its
-    prefix (``bank.with_m``), so only the bucket regrouping is repeated.
-    The indices are shared across every k the experiments use.
+    One full-width hash bank is sampled once; every gamma uses a prefix
+    of it (``bank.with_m``), so one projection pass and one quantization
+    per rung serve the whole sweep and only the mix and the bucket
+    grouping are per gamma.  The indices are shared across every k the
+    experiments use.
     """
     dataset = dataset_for(name, scale)
     base = params_for(name, dataset.n, gamma=max(scale.gammas))
@@ -134,15 +126,10 @@ def _e2lsh_indices(
     bank_full = CompoundHashBank.create(
         d=dataset.d, m=base.m, L=base.L, w=base.w, seed=scale.seed
     )
-    projections_full = bank_full.project(dataset.data)
-    indices: dict[float, E2LSHIndex] = {}
-    for gamma in scale.gammas:
-        params = params_for(name, dataset.n, gamma=gamma)
-        bank = bank_full.with_m(params.m)
-        projections = bank_full.select_projection_columns(projections_full, params.m)
-        indices[gamma] = E2LSHIndex(
-            dataset.data, params, ladder=ladder, bank=bank, projections=projections
-        )
+    params_list = [params_for(name, dataset.n, gamma=gamma) for gamma in scale.gammas]
+    indices = dict(
+        zip(scale.gammas, E2LSHIndex.for_gammas(dataset.data, params_list, ladder, bank_full))
+    )
     return indices, bank_full, ladder
 
 
@@ -151,14 +138,14 @@ def tuned_e2lsh(name: str, scale: ExperimentScale, k: int = 1) -> E2LSHSweep:
     """Sweep gamma and tune in-memory E2LSH to the accuracy target."""
     dataset = dataset_for(name, scale)
     truth = ground_truth_for(name, scale)
-    indices, bank_full, ladder = _e2lsh_indices(name, scale)
+    indices, _, ladder = _e2lsh_indices(name, scale)
 
     def run_fn(gamma: float) -> MethodRun:
         answers = indices[gamma].query_batch(dataset.queries, k=k)
         return method_run(gamma, answers, truth, k, MACHINE.inmemory_e2lsh_ns)
 
     tuned = tune_to_ratio("e2lsh", run_fn, scale.gammas, scale.target_ratio)
-    return E2LSHSweep(tuned=tuned, indices=indices, bank_full=bank_full, ladder=ladder)
+    return E2LSHSweep(tuned=tuned, indices=indices, ladder=ladder)
 
 
 # --------------------------------------------------------------------------
@@ -208,26 +195,27 @@ def tuned_qalsh(name: str, scale: ExperimentScale, k: int = 1) -> TunedMethod:
 
 @lru_cache(maxsize=2)
 def built_e2lshos(
-    name: str, scale: ExperimentScale, gamma: float, block_size: int = 512, k: int = 1
+    name: str, scale: ExperimentScale, gamma: float, block_size: int, /
 ) -> E2LSHoSIndex:
-    """Build (once) the on-storage index for one (dataset, gamma).
+    """Build (once) the on-storage index for one (dataset, gamma, block size).
 
     Hash functions are shared with the in-memory sweep so answers (and
-    accuracy) match the tuned in-memory run.
+    accuracy) match the tuned in-memory run.  Positional-only, without
+    defaults: ``lru_cache`` keys on how a call is spelled, and one
+    spelling is one build.
     """
     dataset = dataset_for(name, scale)
-    sweep = tuned_e2lsh(name, scale, k=k)
+    _, bank_full, ladder = _e2lsh_indices(name, scale)
     params = params_for(name, dataset.n, gamma=gamma)
-    bank = sweep.bank_full.with_m(params.m)
     return E2LSHoSIndex.build(
         dataset.data,
         params,
         store=MemoryBlockStore(),
-        ladder=sweep.ladder,
+        ladder=ladder,
         block_size=block_size,
         seed=scale.seed,
         machine=MACHINE,
-        bank=bank,
+        bank=bank_full.with_m(params.m),
     )
 
 
@@ -250,7 +238,7 @@ def run_e2lshos(
     throughput-bound experiments pass repeat > 1 to keep the device
     queues full.
     """
-    index = built_e2lshos(name, scale, gamma, block_size=block_size, k=k)
+    index = built_e2lshos(name, scale, gamma, block_size)
     dataset = dataset_for(name, scale)
     queries = dataset.queries if repeat == 1 else np.tile(dataset.queries, (repeat, 1))
     engine = AsyncIOEngine(

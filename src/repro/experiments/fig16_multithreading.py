@@ -42,7 +42,7 @@ def run(
     """Sweep worker counts for both storage setups plus SRS."""
     sweep = tuned_e2lsh(dataset, scale, k=k)
     gamma = sweep.tuned.selected.knob
-    index = built_e2lshos(dataset, scale, gamma, k=k)
+    index = built_e2lshos(dataset, scale, gamma, 512)
     data = dataset_for(dataset, scale)
     srs_ns = tuned_srs(dataset, scale, k=k).selected.mean_time_ns
 

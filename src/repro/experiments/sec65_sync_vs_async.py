@@ -46,7 +46,7 @@ def run(
 ) -> SyncVsAsync:
     """Run the tuned query set asynchronously and through the page cache."""
     gamma = tuned_e2lsh(dataset, scale, k=k).tuned.selected.knob
-    index = built_e2lshos(dataset, scale, gamma, k=k)
+    index = built_e2lshos(dataset, scale, gamma, 512)
     data = dataset_for(dataset, scale)
 
     engine = AsyncIOEngine(

@@ -45,7 +45,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> list[Table6Row]:
     for name in scale.datasets:
         dataset = dataset_for(name, scale)
         gamma = tuned_e2lsh(name, scale, k=1).tuned.selected.knob
-        storage_index = built_e2lshos(name, scale, gamma)
+        storage_index = built_e2lshos(name, scale, gamma, 512)
         srs = _srs_index(name, scale)
         rows.append(
             Table6Row(

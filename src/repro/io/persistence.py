@@ -98,6 +98,9 @@ def load_index(
             L=params.L,
             w=params.w,
         )
+        data = np.ascontiguousarray(data, dtype=np.float32)
+        if data.ndim != 2 or data.shape[1] != bank.d:
+            raise ValueError(f"data has shape {data.shape}, the bank expects d={bank.d}")
         codec = ObjectInfoCodec(n_objects=params.n, table_bits=int(meta["table_bits"]))
         records = payload["table_records"]
         built = BuiltIndex(
@@ -117,15 +120,15 @@ def load_index(
             rung_tables = []
             for li in range(per_rung):
                 base, n_buckets, n_blocks, bucket_bytes = (int(v) for v in records[row])
-                table = OnStorageHashTable.__new__(OnStorageHashTable)
-                table.store = store
-                table.table_bits = codec.table_bits
-                table.n_slots = 1 << codec.table_bits
-                table.base_address = base
+                table = OnStorageHashTable(store, codec.table_bits, base)
+                name = f"present_{rung_index}_{li}"
+                present = payload[name] if name in payload.files else None
+                if present is None or present.dtype != np.uint32:
+                    raise ValueError(f"{name} is missing or not a uint32 array")
                 rung_tables.append(
                     TableHandle(
                         table=table,
-                        present_values=payload[f"present_{rung_index}_{li}"],
+                        present_values=present,
                         n_buckets=n_buckets,
                         n_blocks=n_blocks,
                         bucket_bytes=bucket_bytes,
@@ -134,4 +137,6 @@ def load_index(
                 row += 1
             built.tables.append(rung_tables)
         built.stats = BuildStats(**meta["stats"])
-    return E2LSHoSIndex(built=built, data=np.ascontiguousarray(data, dtype=np.float32))
+        if store.size_bytes < (needed := built.stats.index_storage_bytes):
+            raise ValueError(f"block store holds {store.size_bytes} bytes, the index {needed}")
+    return E2LSHoSIndex(built=built, data=data)

@@ -3,10 +3,10 @@
 For every (radius rung, compound hash) pair the builder hashes all
 objects, groups them into buckets, writes the buckets as chains of
 fixed-size blocks, and finally writes the hash table pointing at the
-chain heads.  All per-object work is vectorized: one argsort groups the
-objects of a table, and block images (headers plus 5-byte object infos)
-are assembled with NumPy scatter writes and committed with a single
-``store.write`` per table.
+chain heads.  All per-object work is vectorized: one sort groups the
+objects of a rung's L tables, and block images (headers plus 5-byte
+object infos) are assembled with NumPy scatter writes and committed
+with a single ``store.write`` per table.
 
 What stays in DRAM afterwards mirrors the paper's E2LSHoS runtime: the
 hash-table base addresses, the projection bank, and a small per-table
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.e2lsh import GroupedTable
 from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
 from repro.core.radii import RadiusLadder
@@ -30,7 +31,7 @@ from repro.layout.bucket import (
     NULL_ADDRESS,
     entries_per_block,
 )
-from repro.layout.hash_table import OnStorageHashTable
+from repro.layout.hash_table import SLOT_SIZE, OnStorageHashTable
 from repro.layout.object_info import OBJECT_INFO_SIZE, ObjectInfoCodec, default_table_bits
 from repro.storage.blockstore import BlockStore
 
@@ -157,13 +158,13 @@ class IndexBuilder:
             block_size=self.block_size,
         )
         projections = bank.project(data)
-        object_ids = np.arange(self.params.n, dtype=np.uint64)
         for radius in self.ladder:
             hash_values = bank.hash_projections(projections, radius)
-            rung_tables = [
-                self._build_table(hash_values[:, li], object_ids) for li in range(self.params.L)
-            ]
-            index.tables.append(rung_tables)
+            slots, fingerprints = self.codec.split_hash(hash_values)
+            present = np.ascontiguousarray(hash_values.T)
+            present.sort(axis=1)
+            tables = zip(GroupedTable.for_rung(slots), np.ascontiguousarray(fingerprints.T), present)
+            index.tables.append([self._build_table(*table) for table in tables])
         index.stats.n_tables = len(index.tables) * self.params.L
         for rung in index.tables:
             for handle in rung:
@@ -173,32 +174,20 @@ class IndexBuilder:
                 index.stats.bucket_bytes += handle.bucket_bytes
         return index
 
-    def _build_table(self, hash_values: np.ndarray, object_ids: np.ndarray) -> TableHandle:
-        """Write buckets + hash table for one (rung, li) and return its handle."""
+    def _build_table(
+        self, by_slot: GroupedTable, fingerprints: np.ndarray, present: np.ndarray
+    ) -> TableHandle:
+        """Write buckets + hash table for one (rung, li) and return its handle.
+
+        ``by_slot``: the objects grouped by table slot; ``present``: the sorted hash values.
+        """
         codec = self.codec
-        slots, fingerprints = codec.split_hash(hash_values)
-        packed = (fingerprints << np.uint64(codec.id_bits)) | object_ids
-
-        order = np.argsort(slots, kind="stable")
-        sorted_slots = slots[order].astype(np.int64)
-        sorted_packed = packed[order]
-        n = sorted_slots.size
-
-        table = OnStorageHashTable(self.store, codec.table_bits)
-        if n == 0:
-            return TableHandle(
-                table=table,
-                present_values=np.empty(0, dtype=np.uint32),
-                n_buckets=0,
-                n_blocks=0,
-                bucket_bytes=0,
-            )
+        order = by_slot.ids
+        sorted_packed = (fingerprints[order] << np.uint64(codec.id_bits)) | order.astype(np.uint64)
+        n = order.size
 
         # Per-bucket extents in the sorted order.
-        boundaries = np.flatnonzero(np.diff(sorted_slots)) + 1
-        starts = np.concatenate(([0], boundaries))
-        sizes = np.diff(np.concatenate((starts, [n])))
-        bucket_slots = sorted_slots[starts]
+        starts, sizes, bucket_slots = by_slot.offsets[:-1], by_slot.bucket_sizes(), by_slot.keys
 
         capacity = entries_per_block(self.block_size)
         blocks_per_bucket = -(-sizes // capacity)
@@ -233,6 +222,10 @@ class IndexBuilder:
         block_bytes = (BLOCK_HEADER_SIZE + counts * OBJECT_INFO_SIZE).astype(np.int64)
         byte_offset = np.concatenate(([0], np.cumsum(block_bytes)))
         total_bytes = int(byte_offset[-1])
+        # The table is allocated here (it precedes its buckets) and
+        # written once, below, as its finished image.
+        table_base = self.store.allocate(SLOT_SIZE << codec.table_bits)
+        table = OnStorageHashTable(self.store, codec.table_bits, table_base)
         base = self.store.allocate(total_bytes + self.block_size)
         block_starts = byte_offset[:-1]
         next_addresses = np.full(total_blocks, NULL_ADDRESS, dtype=np.uint64)
@@ -258,13 +251,12 @@ class IndexBuilder:
         # sharing a slot share one chain (the fingerprint separates them
         # at read time), so assign the chain head per unique slot.
         table_image = np.full(table.n_slots, NULL_ADDRESS, dtype=np.uint64)
-        head_addresses = (base + block_starts[block_offset[:-1]]).astype(np.uint64)
-        table_image[bucket_slots] = head_addresses
+        table_image[bucket_slots] = (base + block_starts[block_offset[:-1]]).astype(np.uint64)
         table.write_table(table_image)
 
         return TableHandle(
             table=table,
-            present_values=np.unique(hash_values.astype(np.uint32)),
+            present_values=present[np.concatenate(([True], present[1:] != present[:-1]))],
             n_buckets=int(n_buckets),
             n_blocks=total_blocks,
             bucket_bytes=total_bytes + self.block_size,

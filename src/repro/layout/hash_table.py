@@ -26,17 +26,27 @@ _SLOT = struct.Struct("<Q")
 class OnStorageHashTable:
     """A flat on-storage array of bucket addresses."""
 
-    def __init__(self, store: BlockStore, table_bits: int) -> None:
+    def __init__(
+        self, store: BlockStore, table_bits: int, base_address: int | None = None
+    ) -> None:
+        """A new NULL-filled table, or the one in the caller's region at
+        ``base_address`` (then nothing is allocated or written here)."""
         if not 1 <= table_bits <= 32:
             raise ValueError(f"table_bits must be in [1, 32], got {table_bits}")
         self.store = store
         self.table_bits = table_bits
         self.n_slots = 1 << table_bits
-        self.base_address = store.allocate(self.n_slots * SLOT_SIZE)
-        # Freshly allocated storage is zero-filled, which is a *valid*
-        # address; initialize every slot to NULL explicitly.
-        null_row = _SLOT.pack(NULL_ADDRESS)
-        store.write(self.base_address, null_row * self.n_slots)
+        if base_address is None:
+            base_address = store.allocate(self.size_bytes)
+            # Freshly allocated storage is zero-filled, which is a *valid*
+            # address; initialize every slot to NULL explicitly.
+            store.write(base_address, _SLOT.pack(NULL_ADDRESS) * self.n_slots)
+        elif base_address < 0 or base_address + self.size_bytes > store.size_bytes:
+            raise ValueError(
+                f"hash table spans [{base_address}, {base_address + self.size_bytes}), "
+                f"the block store holds {store.size_bytes} bytes"
+            )
+        self.base_address = base_address
 
     @property
     def size_bytes(self) -> int:

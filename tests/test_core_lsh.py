@@ -84,6 +84,28 @@ def test_select_projection_columns_matches_projection(bank):
     )
 
 
+def test_select_projection_columns_is_a_row_major_prefix(bank):
+    rng = np.random.default_rng(12)
+    full = bank.project(rng.normal(size=(7, 16)).astype(np.float32))
+    for m_new in range(1, bank.m):
+        narrow = bank.select_projection_columns(full, m_new)
+        assert narrow.flags.c_contiguous and narrow.shape == (7, bank.L * m_new)
+        want = full.reshape(7, bank.L, bank.m)[:, :, :m_new].reshape(7, -1)
+        np.testing.assert_array_equal(narrow, want)
+        assert not np.shares_memory(narrow, full)
+    # The full width is the input itself, not a copy of it.
+    assert bank.select_projection_columns(full, bank.m) is full
+
+
+@pytest.mark.parametrize("bad", [0, -1, 7, 12])
+def test_select_projection_columns_rejects_widths_outside_the_bank(bank, bad):
+    full = np.zeros((3, bank.L * bank.m))
+    with pytest.raises(ValueError, match=rf"m_new must be in \[1, {bank.m}\], got {bad}"):
+        bank.select_projection_columns(full, bad)
+    with pytest.raises(ValueError, match=rf"m_new must be in \[1, {bank.m}\], got {bad}"):
+        bank.with_m(bad)
+
+
 def test_with_m_identity_and_validation(bank):
     assert bank.with_m(bank.m) is bank
     with pytest.raises(ValueError):
@@ -175,10 +197,10 @@ def test_hash_projections_on_derived_banks_and_strided_input(bank):
     narrow = bank.with_m(2)
     sliced = bank.select_tables([3, 0])
     for derived, projections in (
-        # A column gather of the full-bank projections (non-contiguous
-        # source rows are fine: the kernel only reads its input).
         (narrow, bank.select_projection_columns(full, 2)),
         (sliced, sliced.project(points)),
+        # Non-contiguous source rows are fine: the kernel only reads
+        # its input.
         (bank, np.asfortranarray(full)),
         (bank, full[::-1]),
     ):

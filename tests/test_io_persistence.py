@@ -81,3 +81,64 @@ def test_version_check(built, tmp_path):
     np_mod.savez_compressed(tmp_path / "bad.npz", **arrays)
     with pytest.raises(ValueError, match="version"):
         load_index(tmp_path / "bad.npz", store, data)
+
+
+def _resave(source, target, **replaced):
+    """Copy a saved index, replacing (or with ``None`` dropping) arrays."""
+    with np.load(source) as payload:
+        arrays = {key: payload[key] for key in payload.files}
+    for key, value in replaced.items():
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+    np.savez_compressed(target, **arrays)
+    return target
+
+
+def test_truncated_block_store_is_rejected_at_load(built):
+    tmp_path, data, queries, store, index = built
+    save_index(index, tmp_path / "index.npz")
+    store.close()
+    whole = (tmp_path / "index.blocks").read_bytes()
+    last_table = index.built.tables[-1][-1].table
+    for keep, message in (
+        # Cut inside the last table's slots, and inside its buckets.
+        (last_table.base_address + 64, r"hash table spans \[\d+, \d+\), the block store holds"),
+        (len(whole) - 100, "block store holds .* bytes, the index"),
+    ):
+        (tmp_path / "cut.blocks").write_bytes(whole[:keep])
+        with FileBlockStore(tmp_path / "cut.blocks") as cut:
+            with pytest.raises(ValueError, match=message):
+                load_index(tmp_path / "index.npz", cut, data)
+
+
+def test_data_of_the_wrong_shape_is_rejected_at_load(built):
+    tmp_path, data, queries, store, index = built
+    save_index(index, tmp_path / "index.npz")
+    for wrong in (data[:, :6], np.hstack([data, data]), data[0]):
+        with pytest.raises(ValueError, match=r"data has shape .*, the bank expects d=12"):
+            load_index(tmp_path / "index.npz", store, wrong)
+    with pytest.raises(ValueError, match="data has n=999, index expects 1000"):
+        load_index(tmp_path / "index.npz", store, data[:-1])
+
+
+def test_inconsistent_saved_arrays_are_rejected_at_load(built):
+    tmp_path, data, queries, store, index = built
+    saved = tmp_path / "index.npz"
+    save_index(index, saved)
+    bank = index.built.bank
+    for replaced, message in (
+        ({"bank_a": bank.a[:, :-1]}, "bank arrays .* do not fit m="),
+        ({"bank_a": bank.a.reshape(-1)}, "bank arrays .* do not fit m="),
+        ({"bank_b": bank.b[:-1]}, "bank arrays .* do not fit m="),
+        ({"bank_mixers": bank.mixers.T}, "bank arrays .* do not fit m="),
+        ({"present_0_1": None}, "present_0_1 is missing or not a uint32 array"),
+        (
+            {"present_2_0": index.built.tables[2][0].present_values.astype(np.int64)},
+            "present_2_0 is missing or not a uint32 array",
+        ),
+    ):
+        bad = _resave(saved, tmp_path / "bad.npz", **replaced)
+        with pytest.raises(ValueError, match=message):
+            load_index(bad, store, data)

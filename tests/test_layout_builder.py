@@ -73,6 +73,20 @@ def test_stats_account_storage(built):
     assert stats.n_blocks >= stats.n_buckets
 
 
+def test_build_writes_every_byte_once(built):
+    """Two writes per table — its finished slots, its buckets — and no
+    byte twice: ``bytes_written`` is the endurance cost of a rebuild
+    (Sec. 7), so a NULL image overwritten a moment later must not count.
+    """
+    index, data, builder = built
+    stats = index.stats
+    assert index.store.write_count == 2 * stats.n_tables
+    # The guard block after each bucket region is allocated, never written.
+    written = stats.table_bytes + stats.bucket_bytes - stats.n_tables * index.block_size
+    assert index.store.bytes_written == written
+    assert index.store.size_bytes == stats.index_storage_bytes
+
+
 def test_dram_accounting_includes_filters(built):
     index, data, builder = built
     filters = sum(h.present_values.nbytes for rung in index.tables for h in rung)

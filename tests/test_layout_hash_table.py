@@ -47,6 +47,27 @@ def test_bulk_write_table():
         table.write_table(np.zeros(10, dtype=np.uint64))
 
 
+def test_table_on_a_region_the_caller_allocated_writes_nothing():
+    """The builder's path: allocate, then one write of the finished image."""
+    store = MemoryBlockStore()
+    base = store.allocate(16 * SLOT_SIZE)
+    table = OnStorageHashTable(store, table_bits=4, base_address=base)
+    assert (table.base_address, store.size_bytes, store.write_count) == (base, 128, 0)
+    image = np.full(16, NULL_ADDRESS, dtype=np.uint64)
+    image[5] = 4242
+    table.write_table(image)
+    assert (store.write_count, store.bytes_written) == (1, table.size_bytes)
+    assert [table.read_slot(s) for s in (0, 5, 15)] == [NULL_ADDRESS, 4242, NULL_ADDRESS]
+    # Created without an address it allocates, and starts as all NULL
+    # (zero-filled storage is a valid address).
+    fresh = OnStorageHashTable(store, table_bits=4)
+    assert (fresh.base_address, store.write_count, store.bytes_written) == (128, 2, 256)
+    assert fresh.read_slot(5) == NULL_ADDRESS
+    for outside in (-8, 136, 256):
+        with pytest.raises(ValueError, match=r"hash table spans \[-?\d+, \d+\), the block store holds 256"):
+            OnStorageHashTable(store, table_bits=4, base_address=outside)
+
+
 def test_write_slots_bulk_pairs():
     store = MemoryBlockStore()
     table = OnStorageHashTable(store, table_bits=5)
