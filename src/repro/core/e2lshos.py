@@ -42,8 +42,8 @@ from repro.utils.validation import require_finite_rows
 
 __all__ = ["E2LSHoSIndex", "BatchResult"]
 
-#: Upper bound on memoized per-query wave plans; cleared wholesale when
-#: exceeded (service query pools are far smaller, so this never churns).
+#: Upper bound on memoized queries; cleared wholesale when exceeded
+#: (service query pools are far smaller, so this never churns).
 _PLAN_CACHE_CAP = 4096
 
 
@@ -149,6 +149,44 @@ class _WavePlan:
         return cached
 
 
+class _Memo:
+    """What the index keeps per ``(query bytes, k, stop_k)``: the hash-plan
+    row from first sight; from the first recurrence also the task's data
+    plane — the actions the live body yielded and its answer in local
+    ids — replayed while the store is unchanged.  ``answer`` is set when
+    the recording finishes; a partial ``actions`` list is never replayed."""
+
+    __slots__ = ("plan", "row", "k", "stop_k", "actions", "answer")
+
+    def __init__(self, row: int, k: int, stop_k: int) -> None:
+        self.plan: _WavePlan  # set by ``query_tasks`` before any task starts
+        self.row, self.k, self.stop_k = row, k, stop_k
+        self.actions: list[Compute | ReadBatch] | None = None
+        self.answer: tuple[np.ndarray, np.ndarray, QueryStats] | None = None
+
+
+class _Replay:
+    """One unfinished replay: how far it got, and the live body once the
+    store changed under it (see ``invalidate_query_caches``)."""
+
+    __slots__ = ("memo", "id_map", "position", "live")
+
+    def __init__(self, memo: _Memo, id_map: np.ndarray | None) -> None:
+        self.memo, self.id_map = memo, id_map
+        self.position = 0
+        self.live: Task | None = None
+
+
+def _answer(
+    ids: np.ndarray, distances: np.ndarray, stats: QueryStats, id_map: np.ndarray | None
+) -> QueryAnswer:
+    if id_map is not None:
+        # Looked up when the task finishes, not when it was planned:
+        # a merge may have filled the (presized) map in between.
+        ids = np.asarray(id_map[ids], dtype=np.int64)
+    return QueryAnswer(ids=ids, distances=distances, stats=stats)
+
+
 class E2LSHoSIndex:
     """External-memory E2LSH over a built on-storage index."""
 
@@ -167,21 +205,26 @@ class E2LSHoSIndex:
         #: Per-rung flattened occupancy/address tables, built on first
         #: query touch (queries share them across waves and batches).
         self._rung_lookups: dict[int, _RungLookup] = {}
-        #: Hash state memo: query bytes -> (wave plan, row).  Hashing is
-        #: a pure function of the query vector and the (fixed) bank, and
-        #: ``project_rows`` is batch-invariant, so a recurring query can
-        #: reuse the plan row computed for an earlier wave bit-for-bit.
-        self._plan_cache: dict[bytes, tuple[_WavePlan, int]] = {}
+        #: Query memo, (query bytes, k, stop_k) -> :class:`_Memo`.  Hashing
+        #: is a pure function of the query and the (fixed) bank, and what a
+        #: task reads, scores and returns a pure function of the key and
+        #: the store's contents, so both are reused bit-for-bit until the
+        #: next :meth:`invalidate_query_caches`.
+        self._memo: dict[tuple[bytes, int, int], _Memo] = {}
+        #: Unfinished replays in creation order (a dict as an ordered set).
+        self._replays: dict[_Replay, None] = {}
+        self._cache_info = {"live": 0, "recorded": 0, "replayed": 0, "converted": 0}
         # The projection, per-rung hashing, and occupancy-filter Compute
-        # steps are query-independent; share one OpCounts (``add`` only
-        # reads its argument) and one modelled duration across all tasks.
+        # steps are query-independent: one (immutable) action each,
+        # yielded by every task and shared by every recorded trace.
         params, d = built.params, data.shape[1]
-        self._proj_step = OpCounts(projection_scalar_ops=d * params.L * params.m)
-        self._proj_ns = machine.compute_ns(self._proj_step)
-        self._rung_step = OpCounts(rounds=1, projection_scalar_ops=params.L * params.m)
-        self._rung_ns = machine.compute_ns(self._rung_step)
-        self._filter_step = OpCounts(bucket_lookups=params.L)
-        self._filter_ns = machine.compute_ns(self._filter_step)
+        self._proj_compute = Compute(
+            machine.compute_ns(OpCounts(projection_scalar_ops=d * params.L * params.m))
+        )
+        self._rung_compute = Compute(
+            machine.compute_ns(OpCounts(rounds=1, projection_scalar_ops=params.L * params.m))
+        )
+        self._filter_compute = Compute(machine.compute_ns(OpCounts(bucket_lookups=params.L)))
 
     # -- construction -------------------------------------------------------
 
@@ -237,17 +280,42 @@ class E2LSHoSIndex:
     # -- maintenance hooks ----------------------------------------------------
 
     def invalidate_query_caches(self) -> None:
-        """Drop the lazily-built query caches after an index mutation.
+        """Announce that the index is about to be mutated.
 
         :class:`~repro.core.updates.IndexUpdater` rewrites bucket chains
-        and occupancy filters in place; the per-rung flattened lookup
-        tables and the hash-plan memo would otherwise keep serving the
-        pre-mutation view (hiding fresh inserts from vectorized
-        queries).  Maintenance paths must call this after every batch of
-        store mutations.
+        and occupancy filters in place; the per-rung lookup tables and
+        the query memo would otherwise keep serving the pre-mutation
+        view.  The updater calls this itself *before its first write*
+        (as must anything else that writes to the store): every
+        unfinished replay first becomes the live body — a fresh
+        :meth:`_run_query` on the trace's own plan row, fast-forwarded
+        over the actions already yielded with payloads read from the
+        still-unchanged store — so an in-flight task keeps its old plan
+        and sees each request's bytes as of issue time, replayed or not.
         """
+        read = self.built.store.read
+        for replay in self._replays:
+            memo = replay.memo
+            assert memo.actions is not None  # replays exist only for finished recordings
+            live = replay.live = self._run_query(memo, replay.id_map)
+            payload = None
+            for action in memo.actions[: replay.position]:
+                if live.send(payload) != action:
+                    raise RuntimeError("the store changed before its query caches were invalidated")
+                payload = None
+                if type(action) is ReadBatch:
+                    payload = [read(address, length) for address, length in action.requests]
+        self._cache_info["converted"] += len(self._replays)
+        self._replays.clear()
         self._rung_lookups.clear()
-        self._plan_cache.clear()
+        self._memo.clear()
+
+    def query_cache_info(self) -> dict[str, int]:
+        """Tasks created so far as ``live``, ``recorded`` (live, keeping
+        their trace) or ``replayed``, and replays ``converted`` to the live
+        body by an invalidation.  Kept out of every report: the split
+        depends on what the index served before the run."""
+        return dict(self._cache_info)
 
     def maintenance_compute_ns(self, count: int) -> float:
         """Modelled CPU cost of hashing ``count`` objects for maintenance.
@@ -259,7 +327,8 @@ class E2LSHoSIndex:
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        return count * (self._proj_ns + len(self.built.ladder) * self._rung_ns)
+        per_rung_ns = self._rung_compute.duration_ns
+        return count * (self._proj_compute.duration_ns + len(self.built.ladder) * per_rung_ns)
 
     # -- query tasks ----------------------------------------------------------
 
@@ -280,7 +349,10 @@ class E2LSHoSIndex:
         produces *exactly* the answers, I/O counts, and simulated timing
         of ``[query_task(q) for q in queries]``; only the wall-clock
         cost of planning is amortized (hashing uses the batch-invariant
-        :meth:`~repro.core.lsh.CompoundHashBank.project_rows`).
+        :meth:`~repro.core.lsh.CompoundHashBank.project_rows`).  A
+        ``(row, k, stop_k)`` seen before is not planned again, and from
+        its second recurrence not computed again either: the task replays
+        what the live body yielded and returned (:class:`_Memo`).
 
         ``id_map`` remaps the answers' object IDs through a lookup table
         before each task returns — a shard answering on behalf of a
@@ -303,6 +375,8 @@ class E2LSHoSIndex:
         if queries.shape[1] != d:
             raise ValueError(f"queries have d={queries.shape[1]}, index expects {d}")
         require_finite_rows(queries, "queries")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         stop_k = k if stop_k is None else stop_k
         if stop_k < 1:
             raise ValueError(f"stop_k must be >= 1, got {stop_k}")
@@ -310,33 +384,43 @@ class E2LSHoSIndex:
             raise ValueError(
                 f"id_map covers {id_map.shape[0]} objects, index holds {self.built.params.n}"
             )
-        cache = self._plan_cache
-        refs: list[tuple[_WavePlan, int] | None] = []
-        keys: list[bytes] = []
-        fresh: dict[bytes, int] = {}
+        # First sight of a key: plan it with the wave's other new rows,
+        # run live.  First recurrence: run live and record.  Then replay.
+        memo, info = self._memo, self._cache_info
+        fresh: dict[tuple[bytes, int, int], _Memo] = {}
         fresh_rows: list[int] = []
+        tasks: list[Task] = []
         for row in range(queries.shape[0]):
-            key = queries[row].tobytes()
-            keys.append(key)
-            ref = cache.get(key)
-            if ref is None and key not in fresh:
-                fresh[key] = len(fresh_rows)
+            key = (queries[row].tobytes(), k, stop_k)
+            entry = memo.get(key) or fresh.get(key)
+            how = "live"
+            if entry is None:
+                entry = fresh[key] = _Memo(len(fresh_rows), k, stop_k)
                 fresh_rows.append(row)
-            refs.append(ref)
-        if fresh_rows:
-            if len(fresh_rows) == queries.shape[0]:
-                sub = queries
+            elif entry.answer is not None:
+                how = "replayed"
+            elif entry.actions is None:
+                entry.actions, how = [], "recorded"
+            info[how] += 1
+            if how == "replayed":
+                replay = _Replay(entry, id_map)
+                self._replays[replay] = None
+                tasks.append(self._replay(replay))
+            elif how == "recorded":
+                tasks.append(self._record(entry, id_map))
             else:
-                sub = np.ascontiguousarray(queries[fresh_rows])
-            wave = _WavePlan(self, sub)
-            if len(cache) + len(fresh) > _PLAN_CACHE_CAP:
-                cache.clear()
-            for key, col in fresh.items():
-                cache[key] = (wave, col)
-            for row, ref in enumerate(refs):
-                if ref is None:
-                    refs[row] = (wave, fresh[keys[row]])
-        return [self._run_query(plan, col, k, stop_k, id_map) for plan, col in refs]
+                tasks.append(self._run_query(entry, id_map))
+        if fresh_rows:
+            if len(fresh_rows) < queries.shape[0]:
+                queries = np.ascontiguousarray(queries[fresh_rows])
+            # No task above has started yet, so none has missed its plan.
+            wave = _WavePlan(self, queries)
+            for entry in fresh.values():
+                entry.plan = wave
+            if len(memo) + len(fresh) > _PLAN_CACHE_CAP:
+                memo.clear()
+            memo.update(fresh)
+        return tasks
 
     def query_task(
         self,
@@ -360,11 +444,52 @@ class E2LSHoSIndex:
             self._rung_lookups[rung_index] = lookup
         return lookup
 
-    def _run_query(
-        self, plan: _WavePlan, i: int, k: int, stop_k: int, id_map: np.ndarray | None
-    ) -> Task:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+    def _replay(self, replay: _Replay) -> Task:
+        """Yield a recorded trace, ignoring the payloads sent back: only
+        host work is skipped, the engine books every action as it would
+        the live body's.  Once ``invalidate_query_caches`` has parked the
+        live body at this position, the rest is delegated to it."""
+        memo = replay.memo
+        assert memo.actions is not None and memo.answer is not None
+        payload = None
+        for action in memo.actions:
+            if replay.live is not None:
+                break
+            replay.position += 1
+            payload = yield action
+        live = replay.live
+        if live is None:
+            del self._replays[replay]
+            ids, distances, stats = memo.answer
+            return _answer(ids, distances, stats.copy(), replay.id_map)
+        try:
+            while True:
+                payload = yield live.send(payload)
+        except StopIteration as stop:
+            return stop.value
+
+    def _record(self, memo: _Memo, id_map: np.ndarray | None) -> Task:
+        """The live body in local ids, keeping what it yields and returns
+        in ``memo`` for :meth:`_replay`."""
+        live = self._run_query(memo, None)
+        actions, payload = memo.actions, None
+        assert actions is not None  # the list ``query_tasks`` left for this task
+        try:
+            while True:
+                actions.append(live.send(payload))
+                payload = yield actions[-1]
+        except StopIteration as stop:
+            answer: QueryAnswer = stop.value
+        # Shared with every replay from here on, hence read-only.
+        answer.ids.flags.writeable = answer.distances.flags.writeable = False
+        memo.answer = (answer.ids, answer.distances, answer.stats.copy())
+        return _answer(answer.ids, answer.distances, answer.stats, id_map)
+
+    def _run_query(self, memo: _Memo, id_map: np.ndarray | None) -> Task:
+        """The data plane of one query task (Figure 10), and its only
+        implementation: first sight, what :meth:`_record` records, and
+        the body an interrupted :meth:`_replay` falls back to."""
+        plan, i, k, stop_k = memo.plan, memo.row, memo.k, memo.stop_k
         d = self.data.shape[1]
         built = self.built
         params = built.params
@@ -379,7 +504,7 @@ class E2LSHoSIndex:
         rung_scalar_ops = n_tables * params.m
         c = params.c
         block_size = built.block_size
-        rung_ns, filter_ns = self._rung_ns, self._filter_ns
+        rung_compute, filter_compute = self._rung_compute, self._filter_compute
         query64 = query.astype(np.float64)
 
         # Hash the query once; rungs reuse the projections (Sec. 5.3).
@@ -390,7 +515,7 @@ class E2LSHoSIndex:
         # six zero fields on every simulated event.
         ops = stats.ops
         ops.projection_scalar_ops += d * rung_scalar_ops
-        yield Compute(self._proj_ns)
+        yield self._proj_compute
 
         pool_ids = np.empty(0, dtype=np.int64)
         pool_dists = np.empty(0, dtype=np.float64)
@@ -400,7 +525,7 @@ class E2LSHoSIndex:
             stats.rungs_searched += 1
             ops.rounds += 1
             ops.projection_scalar_ops += rung_scalar_ops
-            yield Compute(rung_ns)
+            yield rung_compute
             _, _, fingerprints, present, addresses = plan.rung(rung_index, radius)
 
             # DRAM occupancy filter: skip I/O for empty buckets (exact
@@ -408,7 +533,7 @@ class E2LSHoSIndex:
             stats.buckets_probed += n_tables
             probe_cols = np.flatnonzero(present[i])
             ops.bucket_lookups += n_tables
-            yield Compute(filter_ns)
+            yield filter_compute
 
             budget = budget_per_rung
             collected: list[np.ndarray] = []
@@ -489,16 +614,9 @@ class E2LSHoSIndex:
             if pool_ids.size and int((pool_dists <= c * radius).sum()) >= stop_k:
                 break
 
-        if pool_ids.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return QueryAnswer(ids=empty, distances=empty.astype(np.float64), stats=stats)
+        # An empty pool sorts to an empty answer of the same dtypes.
         order = np.argsort(pool_dists, kind="stable")[:k]
-        ids = pool_ids[order]
-        if id_map is not None:
-            # Looked up when the task finishes, not when it was planned:
-            # a merge may have filled the (presized) map in between.
-            ids = np.asarray(id_map[ids], dtype=np.int64)
-        return QueryAnswer(ids=ids, distances=pool_dists[order], stats=stats)
+        return _answer(pool_ids[order], pool_dists[order], stats, id_map)
 
     # -- batch execution -------------------------------------------------------
 

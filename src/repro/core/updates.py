@@ -101,6 +101,9 @@ class IndexUpdater:
                 f"object ID {int(new_ids[-1])} exceeds the layout capacity {self.capacity}"
             )
 
+        # Announced before the first write: in-flight replays are turned
+        # live against the store they were recorded on.
+        index.invalidate_query_caches()
         # Grow the DRAM-resident database (the paper keeps vectors in DRAM).
         index.data = np.vstack([index.data, vectors])
 
@@ -170,6 +173,7 @@ class IndexUpdater:
         if object_id in self._deleted:
             raise ValueError(f"object {object_id} already deleted")
 
+        index.invalidate_query_caches()  # before the first write, as in insert_batch
         vector = index.data[object_id][None, :]
         projections = built.bank.project(vector)
         for rung_index, radius in enumerate(built.ladder):

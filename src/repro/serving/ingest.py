@@ -459,7 +459,6 @@ class IngestCoordinator:
             self._local_ids[shard_id].update(zip(insert_ids, local_ids.tolist()))
         for gid in tombstone_ids:
             updater.delete(self._local_id(shard_id, gid))
-        shard.index.invalidate_query_caches()
         return (
             updater.stats.io_requests - requests_before,
             store.bytes_written - bytes_before,

@@ -82,6 +82,12 @@ class QueryStats:
         in-DRAM occupancy filter, Sec. 4.3)."""
         return 2.0 * self.nonempty_buckets
 
+    def copy(self) -> "QueryStats":
+        """An independent copy: own ``ops`` and ``bucket_sizes_examined``."""
+        fresh = QueryStats()
+        fresh.merge(self)
+        return fresh
+
     def merge(self, other: "QueryStats") -> None:
         """Accumulate ``other`` into ``self`` (for averaging over queries)."""
         self.ops.add(other.ops)

@@ -153,6 +153,12 @@ def test_validation(setup):
     data, queries, inmem, storage = setup
     with pytest.raises(ValueError):
         next(storage.query_task(queries[0], k=0))
+    # k is part of the memo key: refused when the wave is planned, like
+    # stop_k, not at the generator's first resume.
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        storage.query_tasks(queries, k=0)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        run(storage, queries, k=0)
     with pytest.raises(ValueError):
         next(storage.query_task(np.zeros(3, dtype=np.float32)))
     with pytest.raises(ValueError):

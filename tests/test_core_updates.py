@@ -22,9 +22,13 @@ def setup():
     data = (centers[rng.integers(0, 12, n)] + rng.normal(scale=0.4, size=(n, d))).astype(
         np.float32
     )
-    params = E2LSHParams(n=n, rho=0.35, gamma=0.7, s_factor=16)
-    index = E2LSHoSIndex.build(data, params, store=MemoryBlockStore(), seed=8)
+    index = build_index(data)
     return data, index, IndexUpdater(index), rng
+
+
+def build_index(data):
+    params = E2LSHParams(n=data.shape[0], rho=0.35, gamma=0.7, s_factor=16)
+    return E2LSHoSIndex.build(data, params, store=MemoryBlockStore(), seed=8)
 
 
 def run_query(index, query, k=1):
@@ -105,6 +109,36 @@ def test_occupancy_filter_stays_exact_after_insert(setup):
         hash_values = built.bank.mix32(built.bank.codes_for_radius(projections, radius))
         for table_index in (0, built.params.L - 1):
             assert built.tables[rung_index][table_index].contains(int(hash_values[0, table_index]))
+
+
+@pytest.mark.parametrize("kind", ["insert", "delete"])
+def test_a_memoised_query_sees_the_mutation(setup, kind):
+    """The updater announces its own writes, so nothing the index
+    remembers about a query outlives them.  It used to be every caller's
+    duty to call ``invalidate_query_caches()`` afterwards, and only the
+    serving path did: without it the memoised occupancy mask hid the
+    buckets of a fresh insert (``novel`` answered from rung 7 after 5
+    I/Os where a cold index answers from rung 1 after 30), and a
+    recorded trace would have gone on returning a deleted object."""
+    data, index, updater, rng = setup
+    twin = build_index(data)  # same bytes; first queried after the mutation
+    if kind == "insert":
+        probe = (np.full(16, 30.0) + rng.normal(scale=0.1, size=16)).astype(np.float32)
+    else:
+        probe = data[37]
+    for _ in range(3):  # first sight, recorded, replayed
+        run_query(index, probe, k=3)
+    assert index.query_cache_info()["replayed"] == 1
+    for target in (updater, IndexUpdater(twin)):
+        if kind == "insert":
+            target.insert(probe)
+        else:
+            target.delete(37)
+    got, want = run_query(index, probe, k=3), run_query(twin, probe, k=3)
+    assert got.stats == want.stats
+    assert got.ids.tolist() == want.ids.tolist()
+    assert got.distances.tolist() == want.distances.tolist()
+    assert (data.shape[0] in got.ids) if kind == "insert" else (37 not in got.ids)
 
 
 def test_insert_rejects_bad_shapes(setup):

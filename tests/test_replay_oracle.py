@@ -1,0 +1,452 @@
+"""Differential oracle: replayed query tasks against the live body.
+
+Which slots and blocks a query reads, which candidates it scores and
+where its rung descent stops is a pure function of (query bytes, k,
+stop_k, store contents), so ``E2LSHoSIndex`` records that data plane the
+first time a query recurs and replays it afterwards; only the timing
+plane — what the engine books for the yielded actions — is run again.
+The production tree has no switch for this.  The live-only references
+are here, test-side:
+
+- ``never_replay``: a recording never completes, so every task is the
+  live ``_run_query`` on the memo's plan rows — exactly what the tree
+  did before replay existed, in-flight tasks under maintenance included;
+- ``always_invalidate``: a cold memo before every wave, for the catalog.
+
+Everything compared must be *equal*: completion order and times, ids,
+distance bits, every ``QueryStats`` / ``OpCounts`` field, every engine
+counter, and (catalog) report, trace and answers byte for byte.  Every
+case also asserts on ``query_cache_info()`` so none passes vacuously.
+"""
+
+import copy
+import dataclasses
+import functools
+import json
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_serving_vectorized import run_traced, trace_dump
+
+import repro.core.e2lshos as e2lshos
+from repro.core.e2lshos import E2LSHoSIndex
+from repro.core.params import E2LSHParams
+from repro.core.updates import IndexUpdater
+from repro.storage.blockstore import MemoryBlockStore
+from repro.storage.engine import ReadBatch
+from repro.storage.page_cache import PageCache
+from repro.storage.profiles import INTERFACE_PROFILES, make_engine, make_volume
+
+N, D, POOL = 900, 12, 6
+#: (k, stop_k, answers through an id_map?) — the two task shapes mixed in a stream.
+VARIANTS = ((2, None, False), (5, 2, True))
+#: local id -> reported id, presized past every insert a case makes.
+ID_MAP = 5000 - np.arange(N + 64, dtype=np.int64)
+GAP_NS = 25_000.0
+
+
+# -- the references ---------------------------------------------------------------
+
+
+@contextmanager
+def never_replay():
+    """Live-only: ``_Memo.answer`` stays ``None``, so no trace is ever replayed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(e2lshos._Memo, "answer", property(lambda memo: None, lambda memo, _: None))
+        yield
+
+
+@contextmanager
+def always_invalidate():
+    """Live-only: every wave is planned on a cold memo."""
+    real = E2LSHoSIndex.query_tasks
+
+    def query_tasks(index, queries, **kwargs):
+        index.invalidate_query_caches()
+        return real(index, queries, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(E2LSHoSIndex, "query_tasks", query_tasks)
+        yield
+
+
+# -- one engine session driven step by step -----------------------------------------
+
+
+@functools.cache
+def base():
+    """(data, query pool, built index); cases work on deep copies of the index.
+
+    The last pool query is built to finish on a read: three near-identical
+    objects sit alone in a far corner, and the query lies 1.5c away from
+    them along a direction table 0 cannot see, so it shares their table-0
+    bucket at every rung.  It meets them at R=1, too far to stop, and at
+    R=c reads the same bucket again, finds nothing new, and stops — its
+    trace ends with a ``ReadBatch``, never a scoring ``Compute``.
+    """
+    rng = np.random.default_rng(5)
+    centers = rng.normal(scale=4.0, size=(10, D))
+    data = (centers[rng.integers(0, 10, N)] + rng.normal(scale=0.5, size=(N, D))).astype(
+        np.float32
+    )
+    corner = np.full(D, 14.0)
+    data[-3:] = corner + rng.normal(scale=1e-4, size=(3, D))
+    params = E2LSHParams(n=N, rho=0.35, gamma=0.7, s_factor=8)
+    index = E2LSHoSIndex.build(data, params, store=MemoryBlockStore(), seed=3)
+    assert params.m < D, "table 0 must leave a direction unseen"
+    unseen = np.linalg.svd(index.built.bank.a[:, : params.m].T.astype(np.float64))[2][-1]
+    pool = data[rng.integers(0, N - 3, POOL)] + rng.normal(scale=0.05, size=(POOL, D))
+    pool[-1] = corner + 1.5 * params.c * unseen
+    return data, pool.astype(np.float32), index
+
+
+def fresh_index():
+    return copy.deepcopy(base()[2])
+
+
+def spy(task, seen):
+    """Pass ``task`` through, noting every action it yields in ``seen``."""
+    value = None
+    while True:
+        try:
+            action = task.send(value)
+        except StopIteration as stop:
+            return stop.value
+        seen.append(action)
+        value = yield action
+
+
+def mutate(index, updater, mutation):
+    """Maintenance aimed at pool query ``row``: insert a copy of it (its own
+    buckets change at every rung; ``row=None`` copies the whole pool) or
+    delete its current nearest neighbour."""
+    kind, row = mutation
+    pool = base()[1]
+    if kind == "insert":
+        updater.insert_batch(pool if row is None else pool[row : row + 1])
+        return
+    alive = np.array([i not in updater.deleted_ids for i in range(index.data.shape[0])])
+    distances = np.linalg.norm(index.data.astype(np.float64) - pool[row], axis=1)
+    updater.delete(int(np.flatnonzero(alive)[np.argmin(distances[alive])]))
+
+
+@dataclasses.dataclass
+class Drive:
+    """What one driven stream produced, and how it got there."""
+
+    completions: list = dataclasses.field(default_factory=list)
+    engine: dict = dataclasses.field(default_factory=dict)
+    info: dict = dataclasses.field(default_factory=dict)
+    #: Per task, in submission order: (pool row, created as a replay?).
+    tasks: list = dataclasses.field(default_factory=list)
+    #: Per task: every action it yielded.
+    yielded: list = dataclasses.field(default_factory=list)
+    #: After each step: (actions yielded so far per task created so far,
+    #: indices of the tasks that have finished).
+    progress: list = dataclasses.field(default_factory=list)
+
+
+def drive(index, stream, mutations=None):
+    """Run ``stream`` — waves of ``(ready_ns, pool rows, variant)`` — on one
+    session, planning each wave when it falls due and resuming one task per
+    ``step()``; ``mutations`` maps a step count to the maintenance applied
+    right after that step."""
+    pool = base()[1]
+    session = make_engine(index.built.store).session(workers=2)
+    updater = IndexUpdater(index)
+    waves = sorted(stream, key=lambda wave: wave[0])
+    out = Drive()
+    finished = set()
+    while waves or session.has_work:
+        if waves and waves[0][0] <= session.next_ready_ns:
+            ready_ns, rows, variant = waves.pop(0)
+            k, stop_k, mapped = VARIANTS[variant]
+            tasks = index.query_tasks(
+                pool[list(rows)], k=k, stop_k=stop_k, id_map=ID_MAP if mapped else None
+            )
+            spies = []
+            for row, task in zip(rows, tasks):
+                out.tasks.append((row, task.__name__ == "_replay"))
+                out.yielded.append([])
+                spies.append(spy(task, out.yielded[-1]))
+            session.submit_batch(spies, ready_ns=ready_ns, tags=[(variant, row) for row in rows])
+            continue
+        done = session.step()
+        if done is not None:
+            finished.add(done.index)
+            answer = done.result
+            out.completions.append(
+                (
+                    done.index,
+                    done.tag,
+                    done.finish_ns,
+                    str(answer.ids.dtype),
+                    answer.ids.tolist(),
+                    answer.distances.tobytes(),
+                    dataclasses.asdict(answer.stats),
+                )
+            )
+        out.progress.append(([len(seen) for seen in out.yielded], frozenset(finished)))
+        for mutation in (mutations or {}).get(len(out.progress), ()):
+            mutate(index, updater, mutation)
+    result = session.result()
+    out.engine = {
+        field.name: getattr(result, field.name)
+        for field in dataclasses.fields(result)
+        if field.name not in ("results", "device_stats")
+    }
+    out.engine["device_stats"] = dataclasses.asdict(result.device_stats)
+    out.info = index.query_cache_info()
+    return out
+
+
+def assert_same_run(got, want):
+    assert len(got.completions) == len(want.completions) == len(got.tasks)
+    for mine, theirs in zip(got.completions, want.completions):
+        assert mine == theirs
+    assert got.engine == want.engine
+    assert got.yielded == want.yielded
+    # The reference really is live-only, and every task is accounted for.
+    assert want.info["replayed"] == want.info["converted"] == 0
+    assert sum(got.info[how] for how in ("live", "recorded", "replayed")) == len(got.tasks)
+    assert got.info["replayed"] == sum(replay for _, replay in got.tasks)
+
+
+def seeded_stream(seed, n_waves=18):
+    rng = np.random.default_rng(seed)
+    ready = np.cumsum(rng.integers(0, 24, n_waves)) * GAP_NS
+    return [
+        (
+            float(ready[w]),
+            tuple(rng.integers(0, POOL, rng.integers(1, 5)).tolist()),
+            int(rng.integers(0, len(VARIANTS))),
+        )
+        for w in range(n_waves)
+    ]
+
+
+waves = st.tuples(
+    st.integers(0, 24),
+    st.lists(st.integers(0, POOL - 1), min_size=1, max_size=4).map(tuple),
+    st.integers(0, len(VARIANTS) - 1),
+)
+
+
+@st.composite
+def streams(draw, min_waves=1):
+    ready, stream = 0.0, []
+    for gap, rows, variant in draw(st.lists(waves, min_size=min_waves, max_size=14)):
+        ready += gap * GAP_NS
+        stream.append((ready, rows, variant))
+    return stream
+
+
+# -- (1) recurrence on an unchanged store -------------------------------------------
+
+
+def test_seeded_streams_replay_bit_identically():
+    for seed in (1, 2, 3):
+        stream = seeded_stream(seed)
+        got = drive(fresh_index(), stream)
+        with never_replay():
+            want = drive(fresh_index(), stream)
+        assert_same_run(got, want)
+        assert got.info["recorded"] >= 4 and got.info["replayed"] >= 10, got.info
+        assert got.info["converted"] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(stream=streams())
+def test_streams_replay_bit_identically(stream):
+    got = drive(fresh_index(), stream)
+    with never_replay():
+        want = drive(fresh_index(), stream)
+    assert_same_run(got, want)
+    # A cold memo before every wave is the same live-only run.
+    with always_invalidate():
+        cold = drive(fresh_index(), stream)
+    assert cold.completions == want.completions and cold.engine == want.engine
+
+
+# -- (2) maintenance while replays are in flight --------------------------------------
+
+
+def parked_replay(dry, state):
+    """(step, task): after ``step`` steps of the dry run, replay ``task`` is
+    ``"unstarted"`` (created, never resumed), ``"after-last"`` (it has
+    yielded its last action and not finished) or ``"mid-trace"`` — there
+    with reads both behind it, whose payloads a fast-forward must supply,
+    and ahead of it, which will see the store as it then is."""
+    for step, (counts, finished) in enumerate(dry.progress, start=1):
+        for task, count in enumerate(counts):
+            if not dry.tasks[task][1] or task in finished:
+                continue
+            behind, ahead = dry.yielded[task][: count - 1], dry.yielded[task][count:]
+            if count == 0:
+                found = "unstarted"
+            elif not ahead:
+                found = "after-last"
+            elif all(any(isinstance(a, ReadBatch) for a in part) for part in (behind, ahead)):
+                found = "mid-trace"
+            else:
+                continue
+            if found == state:
+                return step, task
+    raise AssertionError(f"no replay is ever parked {state} in this stream")
+
+
+@pytest.mark.parametrize("state", ["unstarted", "mid-trace", "after-last"])
+def test_a_parked_replay_becomes_the_live_body(state):
+    """Maintenance aimed at a replay's own query, while it is parked."""
+    stream = seeded_stream(4, n_waves=24)
+    dry = drive(fresh_index(), stream)
+    step, task = parked_replay(dry, state)
+    row = dry.tasks[task][0]
+    mutations = {step: [("insert", row)]}
+    got = drive(fresh_index(), stream, mutations)
+    with never_replay():
+        want = drive(fresh_index(), stream, mutations)
+    assert_same_run(got, want)
+    assert got.info["converted"] >= 1, got.info
+    # Had the replay gone on, it would have returned what the dry run
+    # did.  A task that was only waiting for its last payload has seen
+    # everything it will see; the others must notice the maintenance.
+    before = next(c for c in dry.completions if c[0] == task)
+    after = next(c for c in got.completions if c[0] == task)
+    assert (before[4:] == after[4:]) == (state == "after-last")
+
+
+#: (when, as a fraction of the undisturbed run's steps; what) — an insert
+#: copies the whole pool, so it lands in the buckets of whichever replays
+#: are in flight.
+maintenance = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0),
+        st.just(("insert", None)) | st.tuples(st.just("delete"), st.integers(0, POOL - 1)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stream=streams(min_waves=6), schedule=maintenance)
+def test_streams_under_maintenance_equal_the_live_run(stream, schedule):
+    steps = len(drive(fresh_index(), stream).progress)
+    mutations = {}
+    for when, mutation in schedule:
+        mutations.setdefault(1 + int(when * (steps - 1)), []).append(mutation)
+    got = drive(fresh_index(), stream, mutations)
+    with never_replay():
+        want = drive(fresh_index(), stream, mutations)
+    assert_same_run(got, want)
+
+
+def test_the_hook_must_come_before_the_write(monkeypatch):
+    """Fast-forwarding over a store that already changed is refused."""
+    stream = seeded_stream(4, n_waves=24)
+    dry = drive(fresh_index(), stream)
+    step, task = parked_replay(dry, "mid-trace")
+    real = IndexUpdater.insert_batch
+
+    def write_then_announce(updater, vectors):
+        with monkeypatch.context() as patch:
+            patch.setattr(E2LSHoSIndex, "invalidate_query_caches", lambda index: None)
+            ids = real(updater, vectors)
+        updater.index.invalidate_query_caches()
+        return ids
+
+    monkeypatch.setattr(IndexUpdater, "insert_batch", write_then_announce)
+    with pytest.raises(RuntimeError, match="before its query caches were invalidated"):
+        drive(fresh_index(), stream, {step: [("insert", dry.tasks[task][0])]})
+
+
+# -- (3) the serving catalog ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["steady-state", "steady-ingest", "compaction-stall-storm"])
+def test_catalog_scenarios_equal_the_live_only_runs(name):
+    result, tracer = run_traced(name)
+    info = [shard.index.query_cache_info() for shard in result.index.sharded.shards]
+    assert sum(shard["replayed"] for shard in info) >= 10, info
+    if name != "steady-state":
+        assert sum(shard["converted"] for shard in info) >= 1, info
+    for reference in (never_replay, always_invalidate):
+        with reference():
+            other, other_tracer = run_traced(name)
+        info = [shard.index.query_cache_info() for shard in other.index.sharded.shards]
+        assert sum(shard["replayed"] for shard in info) == 0
+        assert json.dumps(dataclasses.asdict(result.report), sort_keys=True) == json.dumps(
+            dataclasses.asdict(other.report), sort_keys=True
+        )
+        assert trace_dump(tracer) == trace_dump(other_tracer)
+        assert result.answers.keys() == other.answers.keys()
+        for qid, answer in result.answers.items():
+            assert answer.ids.tolist() == other.answers[qid].ids.tolist()
+            assert answer.distances.tobytes() == other.answers[qid].distances.tobytes()
+            assert answer.stats == other.answers[qid].stats
+
+
+# -- (4) the blocking page-cache walk ---------------------------------------------------
+
+
+def test_mmap_sync_runs_are_identical():
+    pool = base()[1]
+    index = fresh_index()
+    runs = []
+    for _ in range(3):  # first sight, recorded, replayed
+        cache = PageCache(
+            volume=make_volume("cssd", 1),
+            store=index.built.store,
+            interface=INTERFACE_PROFILES["mmap_sync"],
+            capacity_bytes=1 << 16,
+        )
+        runs.append(index.run(pool, mode="mmap_sync", cache=cache, k=3))
+    assert index.query_cache_info() == {
+        "live": POOL, "recorded": POOL, "replayed": POOL, "converted": 0,
+    }
+    first = runs[0]
+    for other in runs[1:]:
+        for mine, theirs in zip(first.answers, other.answers, strict=True):
+            assert mine.ids.tolist() == theirs.ids.tolist()
+            assert mine.distances.tobytes() == theirs.distances.tobytes()
+            assert mine.stats == theirs.stats
+        for field in dataclasses.fields(first.engine):
+            if field.name != "results":
+                assert getattr(first.engine, field.name) == getattr(other.engine, field.name)
+
+
+# -- (5) what a replay shares with the memo ---------------------------------------------
+
+
+def run_once(index, row, mapped):
+    pool = base()[1]
+    task = index.query_task(pool[row], k=3, id_map=ID_MAP if mapped else None)
+    return make_engine(index.built.store).run([task]).results[0]
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+def test_callers_cannot_poison_the_memo(mapped):
+    index = fresh_index()
+    first, recorded, replayed = (run_once(index, 0, mapped) for _ in range(3))
+    assert index.query_cache_info()["replayed"] == 1
+    for answer in (recorded, replayed):
+        # Arrays shared with the memo refuse writes; mapped ids are the
+        # caller's own copy.
+        assert not answer.distances.flags.writeable
+        assert answer.ids.flags.writeable == mapped
+        with pytest.raises(ValueError, match="read-only"):
+            answer.distances[0] = -1.0
+        # Statistics are the caller's own: scribbling on them (as
+        # ``merge_answers`` and the harness do) reaches nobody else.
+        assert answer.stats == first.stats
+        answer.stats.ios_issued = -1
+        answer.stats.ops.rounds = -1
+        answer.stats.bucket_sizes_examined.append(-1)
+    again = run_once(index, 0, mapped)
+    assert again.stats == first.stats
+    assert again.ids.tolist() == first.ids.tolist()
+    assert again.distances.tobytes() == first.distances.tobytes()
