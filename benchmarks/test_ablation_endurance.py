@@ -9,7 +9,6 @@ bytes written by a full rebuild.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.e2lshos import E2LSHoSIndex
 from repro.core.params import E2LSHParams
@@ -19,7 +18,7 @@ from repro.storage.blockstore import MemoryBlockStore
 from repro.utils.units import format_bytes
 
 
-def test_ablation_endurance(scale, benchmark, request):
+def test_ablation_endurance(scale, benchmark):
     n = min(scale.n, 6_000)
     dataset = load_dataset("sift", n=n, n_queries=5, seed=scale.seed)
     params = E2LSHParams(n=n, rho=0.3, gamma=0.7, s_factor=8)
@@ -53,13 +52,4 @@ def test_ablation_endurance(scale, benchmark, request):
     # while a rebuild scales with n, so the gap widens with scale.
     tables = params.L * index.ladder.rungs
     assert per_insert < 3 * tables * 512
-    if n < 6_000:
-        # A rebuild scales with n and an op does not, so on a database
-        # this small the claim below does not hold: at the small CI scale
-        # (n=2,500) the 35 ops write 1/4.8 of a rebuild.  Reported as an
-        # expected failure, strictly: the assertion still runs, and the
-        # day it holds at this n the mark has to go.
-        share = f"1/{rebuild_bytes / maintenance_bytes:.1f}"
-        reason = f"Sec. 7 claim at n={n}: 35 ops wrote {share} of a rebuild"
-        request.applymarker(pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
     assert maintenance_bytes < rebuild_bytes / 5

@@ -66,8 +66,7 @@ def main() -> None:
             new_ids = updater.insert_batch(
                 dataset.data[:20] + rng.normal(scale=1.0, size=(20, dataset.d)).astype(np.float32)
             )
-            for victim in new_ids[:5].tolist():
-                updater.delete(int(victim))
+            updater.delete(new_ids[:5])
             maintenance_bytes = store.bytes_written - before
             print(
                 f"25 maintenance ops wrote {format_bytes(maintenance_bytes)} "

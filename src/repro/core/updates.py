@@ -7,16 +7,19 @@ object insertion and deletion is small, [but] rebuilding the entire
 index should be done sparingly".
 
 :class:`IndexUpdater` implements that maintenance path on a built
-:class:`~repro.core.e2lshos.E2LSHoSIndex`:
+:class:`~repro.core.e2lshos.E2LSHoSIndex`.  A call takes a whole batch
+(PLSH merges its delta in bulk), groups it by bucket chain per (radius,
+table) and rewrites each chain once, editing packed object infos as bytes
+-- block for block what one read-modify-write per entry would leave
+(``tests/reference_updates.py``):
 
-- **insert**: hash the new objects, and for every (radius, table)
-  append them to their bucket chains — a read-modify-write of the head
-  block when it has room, or a freshly allocated block prepended to the
-  chain when it does not.  Per object this writes O(L x r) small blocks,
-  tiny compared to rebuilding the whole index.
-- **delete**: locate the object's entry in every chain and rewrite the
-  affected block with the entry removed (plus a DRAM tombstone so
-  queries drop in-flight candidates immediately).
+- **insert**: a chain's new entries top its head block up to capacity,
+  in a freshly allocated block that replaces it, and spill into new
+  blocks prepended to the chain.  Per object this writes O(L x r) small
+  blocks, tiny compared to rebuilding the whole index.
+- **delete**: one walk of the chain rewrites in place every block that
+  held one of the objects (plus a DRAM tombstone so queries drop
+  in-flight candidates immediately).
 
 The block store counts every byte written, so the endurance ablation
 benchmark can compare incremental maintenance against full rebuilds.
@@ -24,6 +27,8 @@ benchmark can compare incremental maintenance against full rebuilds.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +40,10 @@ from repro.layout.bucket import (
     NULL_ADDRESS,
     decode_block,
 )
+from repro.layout.hash_table import OnStorageHashTable
 from repro.layout.object_info import OBJECT_INFO_SIZE
 
 __all__ = ["IndexUpdater", "UpdateStats"]
-
-import struct
 
 _HEADER = struct.Struct("<QH6x")
 
@@ -54,6 +58,8 @@ class UpdateStats:
     blocks_allocated: int = 0
     #: Head/chain blocks read during read-modify-write maintenance.
     blocks_read: int = 0
+    #: Deleted entries that were not in the chain their hash names.
+    entries_missed: int = 0
 
     @property
     def io_requests(self) -> int:
@@ -79,6 +85,30 @@ class IndexUpdater:
         """Tombstoned object IDs (filtered from query candidates)."""
         return frozenset(self._deleted)
 
+    def _chains(
+        self, ids: np.ndarray, rows: np.ndarray
+    ) -> Iterator[tuple[TableHandle, np.ndarray, list[tuple[int, bytes]]]]:
+        """Per (radius, table): the hash values of ``rows`` and the packed
+        entries of ``ids`` as one ``(slot, entries)`` per bucket chain, each
+        in the order of ``ids`` (the sort by slot is stable)."""
+        built = self.index.built
+        projections = built.bank.project(rows)
+        for handles, radius in zip(built.tables, built.ladder):
+            hash_values = built.bank.hash_projections(projections, radius)
+            for li, handle in enumerate(handles):
+                slots, fingerprints = built.codec.split_hash(hash_values[:, li])
+                order = np.argsort(slots, kind="stable")
+                packed = built.codec.pack(ids[order], fingerprints[order])
+                chain_slots, starts = np.unique(slots[order], return_index=True)
+                bounds = (OBJECT_INFO_SIZE * np.append(starts, ids.size)).tolist()
+                chains = zip(chain_slots.tolist(), bounds, bounds[1:])
+                yield handle, hash_values[:, li], [(slot, packed[lo:hi]) for slot, lo, hi in chains]
+
+    def _read_block(self, address: int) -> bytes:
+        built = self.index.built
+        self.stats.blocks_read += 1
+        return built.store.read(address, min(built.block_size, built.store.size_bytes - address))
+
     # -- insertion -------------------------------------------------------------
 
     def insert(self, vector: np.ndarray) -> int:
@@ -88,7 +118,6 @@ class IndexUpdater:
     def insert_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Insert several objects; returns their new IDs."""
         index = self.index
-        built = index.built
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != index.data.shape[1]:
             raise ValueError(
@@ -96,6 +125,8 @@ class IndexUpdater:
             )
         first_id = index.data.shape[0]
         new_ids = np.arange(first_id, first_id + vectors.shape[0], dtype=np.int64)
+        if not new_ids.size:
+            return new_ids
         if int(new_ids[-1]) > self.capacity:
             raise ValueError(
                 f"object ID {int(new_ids[-1])} exceeds the layout capacity {self.capacity}"
@@ -107,109 +138,117 @@ class IndexUpdater:
         # Grow the DRAM-resident database (the paper keeps vectors in DRAM).
         index.data = np.vstack([index.data, vectors])
 
-        projections = built.bank.project(vectors)
-        for rung_index, radius in enumerate(built.ladder):
-            hash_values = built.bank.hash_projections(projections, radius)
-            for li in range(built.params.L):
-                handle = built.tables[rung_index][li]
-                slots, fingerprints = built.codec.split_hash(hash_values[:, li])
-                for obj, slot, fp in zip(new_ids.tolist(), slots.tolist(), fingerprints.tolist()):
-                    self._insert_entry(handle, int(slot), int(obj), int(fp))
-                # Keep the exact occupancy filter exact.
-                merged = np.union1d(handle.present_values, hash_values[:, li].astype(np.uint32))
+        for handle, hash_values, chains in self._chains(new_ids, vectors):
+            for slot, entries in chains:
+                self._append(handle.table, slot, entries)
+            # Keep the exact occupancy filter exact (absent: both insertion points coincide).
+            present, values = handle.present_values, np.unique(hash_values)
+            at = np.searchsorted(present, values)
+            absent = at == np.searchsorted(present, values, side="right")
+            if absent.any():
+                merged = np.insert(present, at[absent], values[absent])
                 object.__setattr__(handle, "present_values", merged)
         self.stats.inserted += int(vectors.shape[0])
         return new_ids
 
-    def _insert_entry(
-        self, handle: TableHandle, slot: int, object_id: int, fingerprint: int
-    ) -> None:
+    def _append(self, table: OnStorageHashTable, slot: int, entries: bytes) -> None:
+        """Append packed entries to one chain: one read, one slot write."""
         built = self.index.built
-        store = built.store
-        codec = built.codec
-        capacity = (built.block_size - BLOCK_HEADER_SIZE) // OBJECT_INFO_SIZE
-        head = handle.table.read_slot(slot)
+        room = (built.block_size - BLOCK_HEADER_SIZE) // OBJECT_INFO_SIZE * OBJECT_INFO_SIZE
+        head = table.read_slot(slot)
         if head != NULL_ADDRESS:
-            raw = store.read(head, min(built.block_size, store.size_bytes - head))
-            self.stats.blocks_read += 1
-            block = decode_block(codec, raw)
-            if block.count < capacity:
-                # Head block has room only if its on-storage record does
-                # (compact allocation sizes records to their count), so
-                # append via a freshly sized record replacing the head.
-                ids = np.concatenate([block.object_ids, [object_id]]).astype(np.uint64)
-                fps = np.concatenate([block.fingerprints, [fingerprint]]).astype(np.uint64)
-                address = self._write_block(ids, fps, block.next_address)
-                handle.table.write_slot(slot, address)
+            raw = self._read_block(head)
+            next_address, count = _HEADER.unpack_from(raw)
+            held = raw[BLOCK_HEADER_SIZE : BLOCK_HEADER_SIZE + count * OBJECT_INFO_SIZE]
+            if len(held) < room:
+                # The head has room, but its record may not (compact
+                # allocation sizes records to their count): the first block
+                # written below replaces it -- a rewrite, not an allocation.
+                entries = held + entries
+                head = next_address
                 self.stats.blocks_rewritten += 1
-                return
-        # Chain full (or empty): prepend a new block pointing at the head.
-        ids = np.array([object_id], dtype=np.uint64)
-        fps = np.array([fingerprint], dtype=np.uint64)
-        address = self._write_block(ids, fps, head)
-        handle.table.write_slot(slot, address)
-        self.stats.blocks_allocated += 1
-
-    def _write_block(self, ids: np.ndarray, fps: np.ndarray, next_address: int) -> int:
-        built = self.index.built
-        payload = built.codec.pack(ids, fps)
-        record = _HEADER.pack(next_address, ids.size) + payload
-        # Maintenance writes whole device blocks (as the paper's SSDs
-        # would): pad to block_size.  This also guarantees the query
-        # path's fixed-size block reads stay inside the allocation.
-        record += b"\x00" * (built.block_size - len(record) % built.block_size if len(record) % built.block_size else 0)
-        address = built.store.allocate(len(record))
-        built.store.write(address, record)
-        return address
+                self.stats.blocks_allocated -= 1
+        for start in range(0, len(entries), room):
+            payload = entries[start : start + room]
+            record = _HEADER.pack(head, len(payload) // OBJECT_INFO_SIZE) + payload
+            # Maintenance writes whole device blocks (as the paper's SSDs
+            # would): pad to block_size.  This also guarantees the query
+            # path's fixed-size block reads stay inside the allocation.
+            head = built.store.allocate(built.block_size)
+            built.store.write(head, record.ljust(built.block_size, b"\x00"))
+            self.stats.blocks_allocated += 1
+        table.write_slot(slot, head)
 
     # -- deletion -------------------------------------------------------------
 
-    def delete(self, object_id: int) -> None:
-        """Remove one object from every bucket chain (and tombstone it)."""
+    def delete(self, object_ids: int | Sequence[int] | np.ndarray) -> None:
+        """Remove objects from every bucket chain (and tombstone them)."""
         index = self.index
-        built = index.built
-        if not 0 <= object_id < index.data.shape[0]:
-            raise ValueError(f"object {object_id} outside [0, {index.data.shape[0]})")
-        if object_id in self._deleted:
-            raise ValueError(f"object {object_id} already deleted")
+        ids = np.atleast_1d(np.asarray(object_ids, dtype=np.int64))
+        batch: set[int] = set()
+        for object_id in ids.tolist():
+            if not 0 <= object_id < index.data.shape[0]:
+                raise ValueError(f"object {object_id} outside [0, {index.data.shape[0]})")
+            if object_id in self._deleted or object_id in batch:
+                raise ValueError(f"object {object_id} already deleted")
+            batch.add(object_id)
+        if not batch:
+            return
 
         index.invalidate_query_caches()  # before the first write, as in insert_batch
-        vector = index.data[object_id][None, :]
-        projections = built.bank.project(vector)
-        for rung_index, radius in enumerate(built.ladder):
-            hash_values = built.bank.hash_projections(projections, radius)
-            for li in range(built.params.L):
-                handle = built.tables[rung_index][li]
-                slots, fingerprints = built.codec.split_hash(hash_values[:, li])
-                self._delete_entry(handle, int(slots[0]), object_id, int(fingerprints[0]))
-        self._deleted.add(object_id)
-        self.stats.deleted += 1
+        for handle, _, chains in self._chains(ids, index.data[ids]):
+            for slot, entries in chains:
+                for missed in self._cut(handle.table, slot, entries):
+                    self._sweep(handle.table, missed)
+        self._deleted |= batch
+        self.stats.deleted += len(batch)
 
-    def _delete_entry(
-        self, handle: TableHandle, slot: int, object_id: int, fingerprint: int
-    ) -> None:
-        built = self.index.built
-        store = built.store
-        codec = built.codec
-        address = handle.table.read_slot(slot)
-        while address != NULL_ADDRESS:
-            raw = store.read(address, min(built.block_size, store.size_bytes - address))
-            self.stats.blocks_read += 1
-            block = decode_block(codec, raw)
-            match = (block.object_ids == object_id) & (block.fingerprints == fingerprint)
-            if match.any():
-                keep = ~match
-                payload = codec.pack(
-                    block.object_ids[keep].astype(np.uint64), block.fingerprints[keep]
-                )
-                record = _HEADER.pack(block.next_address, int(keep.sum())) + payload
+    def _cut(self, table: OnStorageHashTable, slot: int, entries: bytes) -> list[bytes]:
+        """Remove packed entries from one chain in one walk, each block
+        rewritten once; returns the entries the chain does not hold."""
+        size = OBJECT_INFO_SIZE
+        pending = [entries[at : at + size] for at in range(0, len(entries), size)]
+        address = table.read_slot(slot)
+        while pending and address != NULL_ADDRESS:
+            raw = self._read_block(address)
+            next_address, count = _HEADER.unpack_from(raw)
+            payload = raw[BLOCK_HEADER_SIZE : BLOCK_HEADER_SIZE + count * size]
+            absent = []
+            for entry in pending:
+                at = payload.find(entry)
+                while at > 0 and at % size:  # straddles two entries: not a match
+                    at = payload.find(entry, at + 1)
+                if at < 0:
+                    absent.append(entry)
+                else:
+                    payload = payload[:at] + payload[at + size :]
+            if len(absent) < len(pending):
                 # The shrunken record fits in place of the old one.
-                store.write(address, record)
+                record = _HEADER.pack(next_address, len(payload) // size) + payload
+                self.index.built.store.write(address, record)
                 self.stats.blocks_rewritten += 1
-                return
-            address = block.next_address
-        # Not found in any block (e.g. it fell to the S-truncation during
-        # a partial rebuild): the tombstone alone is sufficient.
+            pending, address = absent, next_address
+        return pending
+
+    def _sweep(self, table: OnStorageHashTable, missed: bytes) -> None:
+        """Cut an object out of whichever chain of ``table`` holds it: a delete
+        hashes its rows again, a float32 projection depends on the shape of the
+        BLAS call, and now and then one of an object's L x r hashes names
+        another bucket than its entry was written to -- where, left alone, the
+        object is answered again as soon as its tombstone is released."""
+        built = self.index.built
+        object_id = int.from_bytes(missed, "little") & self.capacity  # the low id_bits
+        self.stats.entries_missed += 1
+        heads = np.frombuffer(built.store.read(table.base_address, table.size_bytes), dtype="<u8")
+        for slot, address in enumerate(heads.tolist()):
+            while address != NULL_ADDRESS:
+                block = decode_block(built.codec, self._read_block(address))
+                found = block.object_ids == object_id
+                if found.any():
+                    entry = built.codec.pack(block.object_ids[found], block.fingerprints[found])
+                    self._cut(table, slot, entry)
+                    return
+                address = block.next_address
 
     # -- query-side filtering ---------------------------------------------------
 

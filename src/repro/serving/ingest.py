@@ -457,8 +457,8 @@ class IngestCoordinator:
             assert shard.global_ids is not None  # presized in __init__
             shard.global_ids[local_ids] = insert_ids
             self._local_ids[shard_id].update(zip(insert_ids, local_ids.tolist()))
-        for gid in tombstone_ids:
-            updater.delete(self._local_id(shard_id, gid))
+        if tombstone_ids:
+            updater.delete([self._local_id(shard_id, gid) for gid in tombstone_ids])
         return (
             updater.stats.io_requests - requests_before,
             store.bytes_written - bytes_before,

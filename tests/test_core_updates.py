@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from test_updates_oracle import chains_of, nudged_project
 
 from repro.core.e2lshos import E2LSHoSIndex
+from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
 from repro.core.updates import IndexUpdater
 from repro.storage.blockstore import MemoryBlockStore
@@ -145,3 +147,138 @@ def test_insert_rejects_bad_shapes(setup):
     data, index, updater, rng = setup
     with pytest.raises(ValueError):
         updater.insert_batch(np.zeros((2, 7), dtype=np.float32))
+
+
+# -- calls cover batches: edges, all-or-nothing ----------------------------------
+
+
+def _guarded(index, monkeypatch):
+    """(invalidation calls seen so far, what a rejected call must leave alone)."""
+    calls = []
+    real = index.invalidate_query_caches
+
+    def counted():
+        calls.append(1)
+        real()
+
+    monkeypatch.setattr(index, "invalidate_query_caches", counted)
+
+    def untouched():
+        return (
+            len(calls),
+            index.built.store.bytes_written,
+            index.built.store.size_bytes,
+            index.data.shape,
+            index.query_cache_info(),
+        )
+
+    return untouched
+
+
+def test_empty_batches_do_nothing(setup, monkeypatch):
+    """``insert_batch`` of zero rows used to die on ``new_ids[-1]`` with a
+    bare IndexError; both empty calls now return without announcing a
+    mutation or writing a byte."""
+    data, index, updater, rng = setup
+    untouched = _guarded(index, monkeypatch)
+    before = untouched()
+    ids = updater.insert_batch(np.zeros((0, 16), dtype=np.float32))
+    assert ids.shape == (0,) and ids.dtype == np.int64
+    updater.delete([])
+    updater.delete(np.array([], dtype=np.int64))
+    assert untouched() == before
+    assert (updater.stats.inserted, updater.stats.deleted, updater.stats.io_requests) == (0, 0, 0)
+    with pytest.raises(ValueError, match="shape"):
+        updater.insert_batch(np.zeros((0, 7), dtype=np.float32))
+
+
+def test_delete_takes_a_batch_and_one_id_is_its_one_element_case(setup):
+    data, index, updater, rng = setup
+    twin = IndexUpdater(build_index(data))
+    updater.delete([37, 5, 1999])
+    for victim in (37, 5, 1999):
+        twin.delete(victim)
+    assert updater.deleted_ids == twin.deleted_ids == {37, 5, 1999}
+    assert updater.stats.deleted == 3
+    for victim in (37, 5, 1999):
+        got, want = run_query(index, data[victim], k=3), run_query(twin.index, data[victim], k=3)
+        assert victim not in got.ids.tolist()
+        assert got.ids.tolist() == want.ids.tolist() and got.stats == want.stats
+    # A chain two victims share is walked once, not once per victim.
+    assert updater.stats.blocks_read <= twin.stats.blocks_read
+
+
+@pytest.mark.parametrize(
+    "batch, message",
+    [
+        ([4, 2000, 6], r"object 2000 outside \[0, 2000\)"),
+        ([4, -1], r"object -1 outside \[0, 2000\)"),
+        ([4, 3, 6], "object 3 already deleted"),
+        ([4, 6, 4], "object 4 already deleted"),
+    ],
+)
+def test_a_bad_id_rejects_the_whole_batch_before_anything_happens(
+    setup, monkeypatch, batch, message
+):
+    """Validation is over before the mutation is announced: the memo still
+    replays, no byte is written, nobody is tombstoned."""
+    data, index, updater, rng = setup
+    updater.delete(3)
+    for _ in range(3):
+        run_query(index, data[4], k=3)
+    assert index.query_cache_info()["replayed"] == 1
+    untouched = _guarded(index, monkeypatch)
+    before = untouched()
+    with pytest.raises(ValueError, match=message):
+        updater.delete(batch)
+    assert untouched() == before
+    assert updater.deleted_ids == {3} and updater.stats.deleted == 1
+    run_query(index, data[4], k=3)
+    assert index.query_cache_info()["replayed"] == 2
+    updater.delete([4, 6])  # the good ids of the batch are still there to delete
+    assert updater.deleted_ids == {3, 4, 6}
+
+
+def test_an_oversized_insert_batch_is_rejected_whole(setup, monkeypatch):
+    data, index, updater, rng = setup
+    untouched = _guarded(index, monkeypatch)
+    before = untouched()
+    room = updater.capacity - data.shape[0] + 1
+    with pytest.raises(ValueError, match="exceeds the layout capacity"):
+        updater.insert_batch(np.zeros((room + 1, 16), dtype=np.float32))
+    assert untouched() == before
+
+
+# -- a delete whose hash moved ------------------------------------------------------
+
+
+def _holders(index, object_id):
+    """(rung, table) pairs with an entry of ``object_id`` anywhere on storage."""
+    return sorted({key[:2] for key in chains_of(index, object_id)})
+
+
+@pytest.mark.parametrize("batch", [[37], [12, 37, 1500]])
+def test_a_delete_that_hashes_elsewhere_than_the_build_still_removes_the_object(
+    setup, monkeypatch, batch
+):
+    """A delete re-projects its rows, and BLAS sums a (1, d) product in
+    another order than the (n, d) one the build hashed with: for ~1 row in
+    150 some hash of the ~L x r lands in another bucket, the walk falls
+    off the end of the wrong chain, and the entry used to stay — the
+    object came back the moment its tombstone was dropped.  Pinned without
+    BLAS: one projection of the victim is pushed one lattice cell over."""
+    data, index, updater, rng = setup
+    victim = 37
+    built = index.built
+    everywhere = [(r, t) for r in range(len(built.tables)) for t in range(built.params.L)]
+    assert _holders(index, victim) == everywhere
+    with monkeypatch.context() as patch:
+        patch.setattr(CompoundHashBank, "project", nudged_project(data[victim], built.ladder[0]))
+        updater.delete(batch if len(batch) > 1 else batch[0])
+    answer = run_query(index, data[victim], k=3)
+    assert victim not in answer.ids.tolist()
+    assert (answer.distances > 0).all()
+    for object_id in batch:
+        assert _holders(index, object_id) == []
+    assert updater.stats.entries_missed >= 1  # rung 0, table 0 at the least
+    assert updater.stats.deleted == len(batch)

@@ -14,7 +14,9 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from test_updates_oracle import chains_of, nudged_project
 
+from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
 from repro.serving import (
     Arrival,
@@ -445,12 +447,15 @@ def test_merged_insert_keeps_its_global_id_after_an_annihilated_pair():
         assert np.array_equal(got.distances, fresh.distances)
 
 
-@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("seed", [7, 11, 13])
 def test_unfiltered_steady_ingest_stream_verifies_every_answer(seed):
     """The catalog's ``steady-ingest`` stream at the layered benchmark's
     size, with the deletes aimed at scheduled inserts left in (the
     benchmark filters them out): 50 and 28 of 1024 answers named an
-    object twice or under a store-local id before the fix."""
+    object twice or under a store-local id before the fix.  And once
+    compacted, no deleted object answers a query for its own vector:
+    5415 (seed 7) and 838 (seed 13) did, at distance 0, while a delete
+    that hashed into another bucket than the build left its entry behind."""
     size = CatalogScale(n=6000, pool_queries=256, requests=1024, qps=4000.0)
     spec = replace(steady_ingest(size), seed=seed)
     result = run_scenario(spec)
@@ -475,3 +480,37 @@ def test_unfiltered_steady_ingest_stream_verifies_every_answer(seed):
     deleted = [u.object_id for u in updates if u.kind == "delete"]
     served = result.index.sharded.run(pool, k=spec.k).answers
     _assert_answers_verify(served, pool, vectors, deleted=deleted)
+    served = result.index.sharded.run(vectors[deleted], k=spec.k).answers
+    _assert_answers_verify(served, vectors[deleted], vectors, deleted=deleted)
+
+
+def test_a_delete_whose_hash_moved_does_not_bring_the_object_back(monkeypatch):
+    """One projection of the victim is pushed a lattice cell over for the
+    merge's delete (what a float32 sum in another order does to ~1 row in
+    150), so rung 0 / table 0 names a bucket its entry is not in.  The
+    object must stay gone once the merge completes and its tombstone is
+    released — from the service, from the batch path after offline
+    compaction, and from every chain on storage."""
+    data, sharded = small_fleet(scheme="hash")
+    victim = 17
+    shard_id = int(sharded.plan.assignment[victim])
+    shard = sharded.shards[shard_id]
+    local = int(np.searchsorted(sharded.plan.members(shard_id), victim))
+    assert len(chains_of(shard.index, local)) > 1
+    nudged = nudged_project(data[victim], shard.index.built.ladder[0])
+    pool = data[victim : victim + 1].copy()
+    updates = [UpdateArrival(update_id=0, time_ns=10.0, kind="delete", object_id=victim)]
+    arrivals = [Arrival(query_id=0, time_ns=40_000_000.0, pool_index=0)]  # after the merge
+    with monkeypatch.context() as patch:
+        patch.setattr(CompoundHashBank, "project", nudged)
+        service, report = run_with_updates(
+            sharded, pool, updates, ingest=IngestConfig(merge_threshold=1), arrivals=arrivals
+        )
+    assert (report.merges_completed, report.deletes_applied) == (1, 1)
+    assert service.stats.merge_records[0].finish_ns < arrivals[0].time_ns
+    assert victim not in service.answers[0].ids.tolist()
+    assert chains_of(shard.index, local) == {}
+    assert service.ingest._updaters[shard_id].stats.entries_missed >= 1
+    service.ingest.compact_now()
+    for answer in sharded.run(pool, k=K).answers:
+        assert victim not in answer.ids.tolist()
