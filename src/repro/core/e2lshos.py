@@ -32,7 +32,8 @@ from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
 from repro.stats import OpCounts, QueryStats
 from repro.core.radii import RadiusLadder
-from repro.layout.bucket import NULL_ADDRESS, decode_block
+# ``decode_block`` stays imported: the layered benchmark patches it by name here.
+from repro.layout.bucket import NULL_ADDRESS, decode_block, decode_blocks  # noqa: F401
 from repro.layout.builder import BuiltIndex, IndexBuilder, TableHandle
 from repro.layout.hash_table import SLOT_SIZE
 from repro.storage.blockstore import BlockStore, MemoryBlockStore
@@ -134,7 +135,8 @@ class _WavePlan:
         return self._projections
 
     def rung(self, rung_index: int, radius: float) -> tuple:
-        """``(hash_values, slots, fingerprints, present, addresses)`` arrays."""
+        """``(hash_values, slots, fingerprints, present, addresses)`` arrays
+        and ``present.any(axis=1)`` as a list (most rungs probe nothing)."""
         cached = self._rungs.get(rung_index)
         if cached is None:
             built = self.index.built
@@ -144,7 +146,8 @@ class _WavePlan:
             lookup = self.index._rung_lookup(rung_index)
             present = lookup.contains(hash_values)
             addresses = lookup.base_addresses[None, :] + slots.astype(np.int64) * SLOT_SIZE
-            cached = (hash_values, slots, fingerprints, present, addresses)
+            occupied = present.any(axis=1).tolist()
+            cached = (hash_values, slots, fingerprints, present, addresses, occupied)
             self._rungs[rung_index] = cached
         return cached
 
@@ -293,7 +296,7 @@ class E2LSHoSIndex:
         still-unchanged store — so an in-flight task keeps its old plan
         and sees each request's bytes as of issue time, replayed or not.
         """
-        read = self.built.store.read
+        read_many = self.built.store.read_many
         for replay in self._replays:
             memo = replay.memo
             assert memo.actions is not None  # replays exist only for finished recordings
@@ -304,7 +307,7 @@ class E2LSHoSIndex:
                     raise RuntimeError("the store changed before its query caches were invalidated")
                 payload = None
                 if type(action) is ReadBatch:
-                    payload = [read(address, length) for address, length in action.requests]
+                    payload = read_many(action.requests)
         self._cache_info["converted"] += len(self._replays)
         self._replays.clear()
         self._rung_lookups.clear()
@@ -526,51 +529,49 @@ class E2LSHoSIndex:
             ops.rounds += 1
             ops.projection_scalar_ops += rung_scalar_ops
             yield rung_compute
-            _, _, fingerprints, present, addresses = plan.rung(rung_index, radius)
+            _, _, fingerprints, present, addresses, occupied = plan.rung(rung_index, radius)
 
             # DRAM occupancy filter: skip I/O for empty buckets (exact
             # membership of the 32-bit value; see _RungLookup).
             stats.buckets_probed += n_tables
-            probe_cols = np.flatnonzero(present[i])
             ops.bucket_lookups += n_tables
             yield filter_compute
 
             budget = budget_per_rung
             collected: list[np.ndarray] = []
-            if probe_cols.size:
-                row_addresses = addresses[i]
-                row_fps = fingerprints[i]
+            if occupied[i]:
+                probe_cols = present[i].nonzero()[0]
                 # Step 1: hash-table slot reads, all in one async batch.
-                slot_reads = [(int(row_addresses[li]), SLOT_SIZE) for li in probe_cols]
+                slot_reads = [(address, SLOT_SIZE) for address in addresses[i, probe_cols].tolist()]
                 stats.ios_issued += len(slot_reads)
                 raw_slots = yield ReadBatch(slot_reads)
                 heads = np.frombuffer(b"".join(raw_slots), dtype="<u8")
-                # Step 2: first bucket block of every non-empty bucket.
-                pending = [
-                    (int(address), int(row_fps[li]))
-                    for address, li in zip(heads, probe_cols)
-                    if address != NULL_ADDRESS
-                ]
-                stats.nonempty_buckets += len(pending)
-                while pending and budget > 0:
-                    reads = [(address, block_size) for address, _ in pending]
+                # Step 2: first bucket block of every non-empty bucket,
+                # then the chains' next blocks while the budget lasts.
+                chained = heads != NULL_ADDRESS
+                pending, fps = heads[chained], fingerprints[i, probe_cols[chained]]
+                stats.nonempty_buckets += pending.size
+                while pending.size and budget > 0:
+                    reads = [(address, block_size) for address in pending.tolist()]
                     stats.ios_issued += len(reads)
-                    raw_blocks = yield ReadBatch(reads)
-                    next_pending: list[tuple[int, int]] = []
-                    for raw, (_, fp) in zip(raw_blocks, pending):
-                        if budget <= 0:
-                            break
-                        block = decode_block(codec, raw)
-                        matches = block.object_ids[block.fingerprints == fp]
-                        take = min(int(matches.size), budget)
-                        stats.bucket_sizes_examined.append(int(block.count))
-                        stats.bucket_blocks_read += 1
-                        if take > 0:
-                            collected.append(matches[:take].astype(np.int64))
-                            budget -= take
-                        if block.has_next and budget > 0:
-                            next_pending.append((block.next_address, fp))
-                    pending = next_pending
+                    raws = yield ReadBatch(reads)
+                    # Blocks are examined in request order, each giving up
+                    # to the remaining budget of its fingerprint matches:
+                    # block j is examined iff the budget outlasts the
+                    # matches before it.  Budget left after the batch means
+                    # every block was examined, so every chain goes on.
+                    nexts, counts, ids, block_fps, valid = decode_blocks(codec, raws, block_size)
+                    mask = (block_fps == fps[:, None]) & valid
+                    per_block = mask.sum(axis=1)
+                    sizes = counts[per_block.cumsum() - per_block < budget].tolist()
+                    stats.bucket_sizes_examined.extend(sizes)
+                    stats.bucket_blocks_read += len(sizes)
+                    taken = ids.ravel()[mask.ravel().nonzero()[0][:budget]]
+                    if taken.size:
+                        collected.append(taken)
+                        budget -= taken.size
+                    chained = nexts != NULL_ADDRESS
+                    pending, fps = nexts[chained], fps[chained]
 
             # Step 3: fingerprint-filtered candidates -> true distances.
             if collected:
@@ -611,7 +612,7 @@ class E2LSHoSIndex:
                     pool_ids = np.concatenate([pool_ids, new])
                     pool_dists = np.concatenate([pool_dists, dists])
 
-            if pool_ids.size and int((pool_dists <= c * radius).sum()) >= stop_k:
+            if pool_ids.size and np.count_nonzero(pool_dists <= c * radius) >= stop_k:
                 break
 
         # An empty pool sorts to an empty answer of the same dtypes.

@@ -18,6 +18,7 @@ from repro.layout.bucket import (
     NULL_ADDRESS,
     BucketBlock,
     decode_block,
+    decode_blocks,
     encode_bucket,
     entries_per_block,
     read_bucket,
@@ -32,6 +33,7 @@ __all__ = [
     "NULL_ADDRESS",
     "BucketBlock",
     "decode_block",
+    "decode_blocks",
     "encode_bucket",
     "entries_per_block",
     "read_bucket",

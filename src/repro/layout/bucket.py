@@ -17,6 +17,7 @@ saving bandwidth on partially-read buckets.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "entries_per_block",
     "encode_bucket",
     "decode_block",
+    "decode_blocks",
     "read_bucket",
 ]
 
@@ -100,21 +102,8 @@ def encode_bucket(
     return addresses[0]
 
 
-#: Decoded-block memo keyed by ``(id(codec), raw)``; the value pins the
-#: codec so its ``id`` cannot be recycled while the entry lives.  Skewed
-#: query streams re-read the same hot buckets, and decoding is a pure
-#: function of the bytes, so sharing the (read-only) decoded arrays is
-#: safe.  Cleared wholesale at the cap (~16 MiB of 512 B blocks).
-_DECODE_CACHE: dict[tuple[int, bytes], tuple[ObjectInfoCodec, "BucketBlock"]] = {}
-_DECODE_CACHE_CAP = 32768
-
-
 def decode_block(codec: ObjectInfoCodec, raw: bytes) -> BucketBlock:
     """Parse one raw block into a :class:`BucketBlock`."""
-    key = (id(codec), raw)
-    hit = _DECODE_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
     if len(raw) < BLOCK_HEADER_SIZE:
         raise ValueError(f"block of {len(raw)} bytes is shorter than the header")
     next_address, count = _HEADER.unpack_from(raw)
@@ -123,13 +112,33 @@ def decode_block(codec: ObjectInfoCodec, raw: bytes) -> BucketBlock:
     if end > len(raw):
         raise ValueError(f"block claims {count} entries but is only {len(raw)} bytes")
     object_ids, fingerprints = codec.unpack(raw[start:end])
-    block = BucketBlock(
-        next_address=next_address, object_ids=object_ids, fingerprints=fingerprints
-    )
-    if len(_DECODE_CACHE) >= _DECODE_CACHE_CAP:
-        _DECODE_CACHE.clear()
-    _DECODE_CACHE[key] = (codec, block)
-    return block
+    return BucketBlock(next_address=next_address, object_ids=object_ids, fingerprints=fingerprints)
+
+
+def decode_blocks(
+    codec: ObjectInfoCodec, raws: Sequence[bytes], block_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse a batch of ``block_size``-byte blocks in one pass.
+
+    Returns ``(next_addresses, counts, object_ids, fingerprints, valid)``:
+    the first two of shape ``(B,)``, the rest ``(B, width)`` with ``width``
+    the largest count; ``valid[j, e]`` says entry ``e`` of block ``j`` is
+    within its count (the others decode the block's padding).
+    """
+    blocks = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), block_size)
+    next_addresses = blocks[:, :8].view("<u8")[:, 0]
+    counts = blocks[:, 8:10].view("<u2")[:, 0]
+    width = int(counts.max(initial=0))
+    end = BLOCK_HEADER_SIZE + width * OBJECT_INFO_SIZE
+    if end > block_size:
+        worst = int(counts.argmax())
+        raise ValueError(
+            f"block {worst} of the batch claims {width} entries but is only {block_size} bytes"
+        )
+    object_ids, fingerprints = codec.unpack(blocks[:, BLOCK_HEADER_SIZE:end].tobytes())
+    shape = (len(raws), width)
+    valid = np.arange(width) < counts[:, None]
+    return next_addresses, counts, object_ids.reshape(shape), fingerprints.reshape(shape), valid
 
 
 def read_bucket(

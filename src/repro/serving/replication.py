@@ -215,9 +215,6 @@ class TimelineDevice(StorageDevice):
                 scale *= multiplier
         return scale
 
-    def submit(self, submit_ns: float, length: int) -> float:
-        return super().submit(self._deferred(submit_ns), length)
-
 
 def build_replica_engines(
     store: BlockStore,

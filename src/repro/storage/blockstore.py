@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 
 __all__ = ["BlockStore", "MemoryBlockStore", "FileBlockStore"]
 
@@ -53,10 +54,11 @@ class BlockStore(ABC):
         self._grow_to(self._size)
         return address
 
-    def _check_span(self, address: int, nbytes: int) -> None:
+    def _check_span(self, address: int, nbytes: int, position: int | None = None) -> None:
         if address < 0 or nbytes < 0 or address + nbytes > self._size:
+            where = "" if position is None else f"request {position} of the batch: "
             raise ValueError(
-                f"span [{address}, {address + nbytes}) outside allocated "
+                f"{where}span [{address}, {address + nbytes}) outside allocated "
                 f"region of {self._size} bytes"
             )
 
@@ -71,6 +73,15 @@ class BlockStore(ABC):
         """Return ``nbytes`` bytes starting at ``address``."""
         self._check_span(address, nbytes)
         return self._read(address, nbytes)
+
+    def read_many(self, requests: Iterable[tuple[int, int]]) -> list[bytes]:
+        """:meth:`read` for each ``(address, nbytes)``, in order; a span
+        outside the allocated region is named by its position."""
+        out = []
+        for position, (address, nbytes) in enumerate(requests):
+            self._check_span(address, nbytes, position)
+            out.append(self._read(address, nbytes))
+        return out
 
     @abstractmethod
     def _grow_to(self, size: int) -> None: ...
@@ -101,6 +112,16 @@ class MemoryBlockStore(BlockStore):
 
     def _read(self, address: int, nbytes: int) -> bytes:
         return bytes(self._buffer[address : address + nbytes])
+
+    def read_many(self, requests: Iterable[tuple[int, int]]) -> list[bytes]:
+        check, out = self._check_span, []
+        # One copy per request, straight out of the buffer; the view is
+        # released on the way out (an exported view would block growth).
+        with memoryview(self._buffer) as view:
+            for position, (address, nbytes) in enumerate(requests):
+                check(address, nbytes, position)
+                out.append(view[address : address + nbytes].tobytes())
+        return out
 
 
 class FileBlockStore(BlockStore):

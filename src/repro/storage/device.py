@@ -25,8 +25,9 @@ paper measures IOPS at 512 bytes "in order not to be bandwidth-limited".
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.utils.units import NS_PER_S
@@ -115,9 +116,11 @@ class StorageDevice:
 
     def reset(self) -> None:
         """Forget all bookings and statistics."""
-        # ``(free_ns, channel)`` min-heap: the root is the earliest-free
-        # channel, ties going to the lowest channel index.
-        self._channels = [(0.0, channel) for channel in range(self.profile.channels)]
+        # Channel free times, oldest booking first.  A completion is >= the
+        # previous departure plus a positive gap, so never earlier than
+        # anything queued: the earliest-free channel is the left end and a
+        # new booking goes on the right — the pool is a FIFO queue.
+        self._ring = deque([0.0] * self.profile.channels)
         self._last_departure_ns = -math.inf
         self.stats = DeviceStats()
 
@@ -130,40 +133,59 @@ class StorageDevice:
         bandwidth_gap = length * NS_PER_S / self.profile.bandwidth_bytes_per_s
         return max(iops_gap, bandwidth_gap)
 
-    def _latency_scale(self, start_ns: float) -> float:
-        """Service-time multiplier in effect when a read starts at ``start_ns``.
+    def _deferred(self, submit_ns: float) -> float:
+        """When a request submitted at ``submit_ns`` reaches the device.
 
-        Fault-injection subclasses (windowed degradation in
-        :mod:`repro.serving.replication`) override this; the base device
-        is never degraded.
+        This and :meth:`_latency_scale` are the fault-injection hooks
+        (:class:`repro.serving.replication.TimelineDevice`); the base
+        device never defers or degrades.
         """
+        return submit_ns
+
+    def _latency_scale(self, start_ns: float) -> float:
+        """Service-time multiplier in effect when a read starts at ``start_ns``."""
         return 1.0
 
     def submit(self, submit_ns: float, length: int) -> float:
         """Book a random read of ``length`` bytes; return its completion time."""
-        if length <= 0:
-            raise ValueError(f"length must be positive, got {length}")
-        timing = self._timing_ns.get(length)
-        if timing is None:
-            timing = (self._service_time_ns(length), self._regulator_gap_ns(length))
-            self._timing_ns[length] = timing
-        service_ns, gap_ns = timing
-        # Earliest-free channel (FCFS over a pool of parallel service units).
-        channels = self._channels
-        free_ns, channel = channels[0]
-        start = max(submit_ns, free_ns)
-        completion = start + service_ns * self._latency_scale(start)
-        # Departure regulator: completions cannot come faster than max_iops.
-        completion = max(completion, self._last_departure_ns + gap_ns)
-        heapq.heapreplace(channels, (completion, channel))
-        self._last_departure_ns = completion
+        return self.submit_run(((submit_ns, length),))[0]
 
+    def submit_run(self, run: Sequence[tuple[float, int]]) -> list[float]:
+        """Book ``(submit_ns, length)`` reads in order; return their completions
+        (non-decreasing).  Every length is checked before anything is booked."""
+        timings = self._timing_ns
+        for _, length in run:
+            if length not in timings:
+                if length <= 0:
+                    raise ValueError(f"length must be positive, got {length}")
+                timings[length] = (self._service_time_ns(length), self._regulator_gap_ns(length))
+        popleft, append = self._ring.popleft, self._ring.append
+        deferred, latency_scale = self._deferred, self._latency_scale
         stats = self.stats
-        stats.completed += 1
-        stats.total_latency_ns += completion - submit_ns
-        stats.first_submit_ns = min(stats.first_submit_ns, submit_ns)
-        stats.last_completion_ns = max(stats.last_completion_ns, completion)
-        return completion
+        last_ns = self._last_departure_ns
+        total_latency_ns, first_submit_ns = stats.total_latency_ns, stats.first_submit_ns
+        completions = []
+        for submit_ns, length in run:
+            service_ns, gap_ns = timings[length]
+            submit_ns = deferred(submit_ns)
+            # Earliest-free channel (FCFS over a pool of parallel service units).
+            # ``b if b > a else a`` is ``max(a, b)`` without a call per request.
+            free_ns = popleft()
+            start = free_ns if free_ns > submit_ns else submit_ns
+            completion = start + service_ns * latency_scale(start)
+            # Departure regulator: completions cannot come faster than max_iops.
+            regulated = last_ns + gap_ns
+            last_ns = regulated if regulated > completion else completion
+            append(last_ns)
+            total_latency_ns += last_ns - submit_ns
+            if submit_ns < first_submit_ns:
+                first_submit_ns = submit_ns
+            completions.append(last_ns)
+        self._last_departure_ns = last_ns
+        stats.completed += len(run)
+        stats.total_latency_ns, stats.first_submit_ns = total_latency_ns, first_submit_ns
+        stats.last_completion_ns = max(stats.last_completion_ns, last_ns)
+        return completions
 
     def __repr__(self) -> str:
         return f"StorageDevice({self.profile.name!r})"

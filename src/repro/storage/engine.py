@@ -407,29 +407,25 @@ class EngineSession:
             else:
                 raise TypeError(f"task yielded unsupported action {action!r}")
 
-            # Issue each request: CPU overhead, then device booking.
-            # Writes book the same device time as reads (compaction and
-            # queries compete for one IOPS budget) but are tallied on
-            # their own counters and carry no store payload back.
+            # Issue the batch: per request CPU overhead, then device
+            # booking.  Writes book the same device time as reads
+            # (compaction and queries compete for one IOPS budget) but
+            # are tallied on their own counters and carry no store
+            # payload back.  Spans are checked and bytes read, then
+            # lengths checked, before any device, clock or counter
+            # moves: a bad batch books nothing.
             overhead_ns = interface.cpu_overhead_ns
-            submit = engine.volume.submit
-            io_cpu_ns = self.io_cpu_ns
-            completions = []
-            for address, length in requests:
-                now += overhead_ns
-                io_cpu_ns += overhead_ns
-                completions.append(submit(now, address, length))
-            self.io_cpu_ns = io_cpu_ns
-            done_ns = max(completions)
+            payload: Any = None if is_write else engine.store.read_many(requests)
+            now, self.io_cpu_ns, done_ns = engine.volume.submit_batch(
+                now, self.io_cpu_ns, overhead_ns, requests
+            )
             if is_write:
                 self.write_count += len(requests)
                 self.write_bytes += sum(length for _, length in requests)
-                payload: Any = None
             else:
                 self.io_count += len(requests)
-                read = engine.store.read
-                data = [read(address, length) for address, length in requests]
-                payload = data[0] if isinstance(action, Read) else data
+                if isinstance(action, Read):
+                    payload = payload[0]
             if profile is not None:
                 profile.io_cpu_ns += overhead_ns * len(requests)
                 profile.io_count += len(requests)

@@ -68,6 +68,35 @@ class StripedVolume:
         """
         return self.device_for(address).submit(submit_ns, length)
 
+    def submit_batch(
+        self, now: float, io_cpu_ns: float, overhead_ns: float, requests: Sequence[tuple[int, int]]
+    ) -> tuple[float, float, float]:
+        """Book ``(address, length)`` requests issued back-to-back from ``now``.
+
+        The CPU pays ``overhead_ns`` before each request: one addition to
+        ``now`` and to the caller's running ``io_cpu_ns`` per request, in
+        request order (``overhead_ns * n`` is another float).  Devices
+        are independent, so each books its share as one run.  Returns
+        ``(now, io_cpu_ns, latest completion)``; a non-positive length
+        raises before anything is booked.
+        """
+        devices, unit = self.devices, self.stripe_unit
+        count = len(devices)
+        runs: list[list[tuple[float, int]]] = [[] for _ in devices]
+        for position, (address, length) in enumerate(requests):
+            if length <= 0:
+                raise ValueError(
+                    f"request {position} of the batch: length must be positive, got {length}"
+                )
+            now += overhead_ns
+            io_cpu_ns += overhead_ns
+            runs[(address // unit) % count].append((now, length))  # device_for(address)
+        done_ns = now  # the last request completes later than it was issued
+        for device, run in zip(devices, runs):
+            if run:
+                done_ns = max(done_ns, device.submit_run(run)[-1])
+        return now, io_cpu_ns, done_ns
+
     def combined_stats(self) -> DeviceStats:
         """Merge member device statistics into one record."""
         merged = DeviceStats()

@@ -10,6 +10,7 @@ from repro.layout.bucket import (
     DEFAULT_BLOCK_SIZE,
     NULL_ADDRESS,
     decode_block,
+    decode_blocks,
     encode_bucket,
     entries_per_block,
     read_bucket,
@@ -109,3 +110,49 @@ def test_property_roundtrip_any_size(n_entries, block_size, seed):
     np.testing.assert_array_equal(out_fps, fps)
     expected_blocks = -(-n_entries // entries_per_block(block_size))
     assert store.size_bytes == expected_blocks * block_size
+
+
+def chain_blocks(store, codec, head, block_size):
+    raws, address = [], head
+    while address != NULL_ADDRESS:
+        raws.append(store.read(address, block_size))
+        address = decode_block(codec, raws[-1]).next_address
+    return raws
+
+
+@pytest.mark.parametrize("block_size", [31, 128, 512])
+def test_decode_blocks_is_decode_block_per_block(codec, block_size):
+    store = MemoryBlockStore()
+    rng = np.random.default_rng(block_size)
+    raws = []
+    for n_entries in (1, 2 * entries_per_block(block_size) + 1, entries_per_block(block_size)):
+        ids = rng.integers(0, 1 << 20, n_entries).astype(np.uint64)
+        fps = rng.integers(0, 1 << codec.fingerprint_bits, n_entries).astype(np.uint64)
+        head = encode_bucket(store, codec, ids, fps, block_size)
+        raws += chain_blocks(store, codec, head, block_size)
+    # An emptied block keeps its header and whatever bytes were behind it.
+    raws.append(NULL_ADDRESS.to_bytes(8, "little") + bytes(8) + raws[0][16:])
+    nexts, counts, ids, fps, valid = decode_blocks(codec, raws, block_size)
+    assert ids.dtype == np.int64 and fps.dtype == np.uint64 and valid.dtype == bool
+    assert ids.shape == fps.shape == valid.shape == (len(raws), entries_per_block(block_size))
+    for j, raw in enumerate(raws):
+        block = decode_block(codec, raw)
+        assert (int(nexts[j]), int(counts[j])) == (block.next_address, block.count)
+        assert valid[j].tolist() == [True] * block.count + [False] * (ids.shape[1] - block.count)
+        assert ids[j, valid[j]].tolist() == block.object_ids.tolist()
+        assert fps[j, valid[j]].tolist() == block.fingerprints.tolist()
+    assert int(counts[-1]) == 0 and not valid[-1].any()
+
+
+def test_decode_blocks_of_empty_blocks_has_no_columns(codec):
+    empty = NULL_ADDRESS.to_bytes(8, "little") + bytes(23)
+    nexts, counts, ids, fps, valid = decode_blocks(codec, [empty, empty], 31)
+    assert nexts.tolist() == [NULL_ADDRESS] * 2 and counts.tolist() == [0, 0]
+    assert ids.shape == fps.shape == valid.shape == (2, 0)
+
+
+def test_decode_blocks_names_the_block_whose_count_overruns_it(codec):
+    good = NULL_ADDRESS.to_bytes(8, "little") + (3).to_bytes(2, "little") + bytes(21)
+    bad = NULL_ADDRESS.to_bytes(8, "little") + (4).to_bytes(2, "little") + bytes(21)
+    with pytest.raises(ValueError, match="block 2 of the batch claims 4 entries but is only 31"):
+        decode_blocks(codec, [good, good, bad, good], 31)

@@ -93,3 +93,24 @@ def test_property_many_writes_roundtrip(chunks):
         placed.append((address, chunk))
     for address, chunk in placed:
         assert store.read(address, len(chunk)) == chunk
+
+
+def test_read_many_is_read_per_request_in_order(store):
+    address = store.allocate(64)
+    store.write(address, bytes(range(64)))
+    requests = [(40, 8), (0, 16), (40, 8), (63, 1), (8, 0)]
+    assert store.read_many(requests) == [store.read(a, n) for a, n in requests]
+    assert store.read_many(iter(requests[:2])) == [bytes(range(40, 48)), bytes(range(16))]
+    assert store.read_many([]) == []
+
+
+def test_read_many_names_the_request_outside_the_store_and_leaves_it_growable(store):
+    store.allocate(32)
+    with pytest.raises(ValueError, match=r"request 2 of the batch: span \[30, 34\) outside"):
+        store.read_many([(0, 8), (8, 8), (30, 4), (0, 8)])
+    with pytest.raises(ValueError, match="request 0 of the batch: span"):
+        store.read_many([(-1, 4)])
+    # Neither a finished nor a failed batch keeps the buffer pinned.
+    assert store.read_many([(0, 4)]) == [b"\x00" * 4]
+    assert store.allocate(1 << 16) == 32
+    assert store.read(32, 4) == b"\x00" * 4

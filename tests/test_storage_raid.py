@@ -99,3 +99,26 @@ def test_validation():
 def test_capacity_aggregates():
     volume = make_volume(count=3)
     assert volume.capacity_bytes == 3 * DEVICE_PROFILES["cssd"].capacity_bytes
+
+
+def test_submit_batch_is_submit_per_request_with_the_overhead_paid_before_each():
+    batch, single = make_volume(count=4), make_volume(count=4)
+    requests = [(0, 512), (512, 512), (4 * 512, 8), (512, 512), (7 * 512, 4096)]
+    now, io_cpu_ns, completions = 50.0, 7.0, []
+    for address, length in requests:
+        now += 333.3
+        io_cpu_ns += 333.3
+        completions.append(single.submit(now, address, length))
+    assert batch.submit_batch(50.0, 7.0, 333.3, requests) == (now, io_cpu_ns, max(completions))
+    assert [d.stats for d in batch.devices] == [d.stats for d in single.devices]
+    assert batch.devices[2].stats.completed == 0
+    # Nothing to issue: the clock stands still and the batch is done at once.
+    assert batch.submit_batch(9.0, 1.0, 333.3, ()) == (9.0, 1.0, 9.0)
+
+
+def test_submit_batch_checks_every_length_before_booking_any():
+    volume = make_volume(count=2)
+    with pytest.raises(ValueError, match="request 2 of the batch: length must be positive, got 0"):
+        volume.submit_batch(0.0, 0.0, 1000.0, [(0, 512), (512, 512), (1024, 0)])
+    assert volume.combined_stats().completed == 0
+    assert all(set(device._ring) == {0.0} for device in volume.devices)
