@@ -2,25 +2,20 @@
 
 ``BENCH_trajectory.jsonl`` is the committed long-term record: one JSON
 line per benchmark run, so throughput trends survive artifact expiry.
-Two kinds of artifact condense into a line:
+A line condenses one ``layered-bench/1`` suite result (written by
+``python3 benchmarks/layered/run.py --seed N --out FILE``): the six
+end-to-end medians of every workload, with the commit and seed they
+were measured at.  A PR that claims a host-speed gain commits one line
+for its parent and one for itself; the nightly job appends its own and
+uploads the file::
 
-- a ``repro-serving-bench/1`` artifact (the per-row
-  ``wall_events_per_sec`` figures plus the simulated-domain
-  fingerprint).  The nightly job runs::
-
-      python benchmarks/append_trajectory.py BENCH_fresh.json \
-          --out BENCH_trajectory.jsonl --label nightly-$(date -u +%F)
-
-  and uploads the updated file; maintainers fold it back into the repo
-  when refreshing the baseline;
-- a ``layered-bench/1`` suite result (``benchmarks/layered/out/*.json``,
-  written by ``python3 benchmarks/layered/run.py --seed N``): the six
-  end-to-end medians of every workload, with the commit and seed they
-  were measured at.  A PR that claims a host-speed gain commits one
-  line for its parent and one for itself.
+    python3 benchmarks/layered/run.py --seed 7 --out layered-nightly.json
+    python benchmarks/append_trajectory.py layered-nightly.json \
+        --out BENCH_trajectory.jsonl --label nightly-$(date -u +%F)
 
 Lines are append-only and sorted by entry time, so ``jq`` / pandas can
-chart the trajectory directly.
+chart the trajectory directly.  (The file's first line predates the
+layered benchmark and has another row shape.)
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-SCHEMA = "repro-serving-bench/1"
 LAYERED_SCHEMA = "layered-bench/1"
 TRAJECTORY_SCHEMA = "repro-bench-trajectory/1"
 
@@ -40,8 +34,12 @@ def _now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def summarize_layered(artifact: dict, label: str, timestamp: str | None = None) -> dict:
+def summarize(artifact: dict, label: str, timestamp: str | None = None) -> dict:
     """Condense one layered suite result into a single trajectory entry."""
+    if artifact.get("schema") != LAYERED_SCHEMA:
+        raise SystemExit(
+            f"error: artifact schema {artifact.get('schema')!r} is not {LAYERED_SCHEMA}"
+        )
     meta = artifact["meta"]
     rows = {}
     for name, workload in sorted(artifact["workloads"].items()):
@@ -61,48 +59,9 @@ def summarize_layered(artifact: dict, label: str, timestamp: str | None = None) 
     }
 
 
-def summarize(artifact: dict, label: str, timestamp: str | None = None) -> dict:
-    """Condense one bench artifact into a single trajectory entry."""
-    if artifact.get("schema") == LAYERED_SCHEMA:
-        return summarize_layered(artifact, label, timestamp)
-    if artifact.get("schema") != SCHEMA:
-        raise SystemExit(
-            f"error: artifact schema {artifact.get('schema')!r} is neither "
-            f"{SCHEMA} nor {LAYERED_SCHEMA}"
-        )
-    rows = {}
-    for bench, bench_rows in sorted(artifact.get("results", {}).items()):
-        for row in bench_rows:
-            if "n_shards" in row:
-                key = f"{bench}[{row['n_shards']}, {row['scheme']}]"
-            elif "label" in row:
-                key = f"{bench}[{row['label']}, {row['policy']}]"
-            else:  # pragma: no cover - future benchmarks
-                key = bench
-            summary = {
-                "wall_events_per_sec": row.get("wall_events_per_sec"),
-                "qps": row.get("qps"),
-                "p99_ns": row.get("p99_ns"),
-            }
-            if "p99_penalty" in row:
-                # The ingest rows carry the committed p99-penalty bound;
-                # track it so the trajectory shows the cost of ingest
-                # over time, not just raw tail latency.
-                summary["p99_penalty"] = row["p99_penalty"]
-            rows[key] = summary
-    return {
-        "schema": TRAJECTORY_SCHEMA,
-        "label": label,
-        "recorded_at": timestamp or _now(),
-        "rows": rows,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "artifact", help=f"fresh {SCHEMA} artifact or {LAYERED_SCHEMA} suite result (JSON)"
-    )
+    parser.add_argument("artifact", help=f"{LAYERED_SCHEMA} suite result (JSON)")
     parser.add_argument(
         "--out", default="BENCH_trajectory.jsonl", help="trajectory file to append to"
     )

@@ -14,7 +14,7 @@ def test_fig13(scale, benchmark):
     # (tens of microseconds) that the slowest storage path can tie it;
     # the shape check therefore demands a clear win on the fast
     # interface everywhere and near-parity or better on the slow ones
-    # (see EXPERIMENTS.md for the scale discussion).
+    # (see the README's "Tests and benchmarks" for the scale discussion).
     floor = 0.75 if scale.name != "small" else 0.6
     for row in rows:
         assert row.io_uring_speedup > floor, f"{row.dataset} k={row.k} io_uring"

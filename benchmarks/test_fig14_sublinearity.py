@@ -35,7 +35,7 @@ def test_fig14(scale, benchmark):
     # clustered data still yields the target accuracy cheaply, so the
     # crossover is NOT reproducible at this scale — we report the
     # curve and its growth rather than asserting the paper's endpoint
-    # (see EXPERIMENTS.md).
+    # (see the README's "Tests and benchmarks").
     small_rho_growth = largest.small_rho_ms / smallest.small_rho_ms
     e2lshos_growth = largest.e2lshos_ms / smallest.e2lshos_ms
     print(

@@ -10,50 +10,50 @@ over the grown dataset (ingest changes *when* queries complete, never
 *what* the merged index answers).
 """
 
-from dataclasses import asdict
-
-from repro.experiments import serving_ingest
+from repro.experiments import serving
 
 
-def test_serving_ingest(scale, bench_dataset, benchmark, bench_artifact):
+def test_serving_ingest(scale, bench_dataset, benchmark):
     rows = benchmark.pedantic(
-        serving_ingest.run,
+        serving.run_ingest,
         args=(scale, bench_dataset),
         rounds=1,
         iterations=1,
     )
-    print("\n" + serving_ingest.format_table(rows))
-    bench_artifact["serving_ingest"] = [asdict(row) for row in rows]
+    print("\n" + serving.format_table(rows, serving.INGEST_COLUMNS))
 
-    control = next(row for row in rows if row.ingest_qps == 0)
-    ingest = next(row for row in rows if row.ingest_qps > 0)
+    control = next(row for row in rows if row.spec.workload.ingest_qps == 0)
+    ingest = next(row for row in rows if row.spec.workload.ingest_qps > 0)
 
     # The measured mix satisfies the acceptance floor: ingest offered at
     # >= 20% of the offered query rate, and every update was admitted
     # and applied (no rejections, no silent drops).
-    assert ingest.ingest_qps >= 0.20 * ingest.offered_qps
-    assert ingest.updates_rejected == 0
-    assert ingest.updates_completed == serving_ingest.REQUESTS // 4
-    assert ingest.inserts_applied + ingest.deletes_applied == ingest.updates_completed
-    assert ingest.inserts_applied > 0
-    assert ingest.deletes_applied > 0
+    assert ingest.spec.workload.ingest_qps >= 0.20 * ingest.spec.workload.qps
+    assert ingest.report.updates_rejected == 0
+    assert ingest.report.updates_completed == serving.REQUESTS // 4
+    assert (
+        ingest.report.inserts_applied + ingest.report.deletes_applied
+        == ingest.report.updates_completed
+    )
+    assert ingest.report.inserts_applied > 0
+    assert ingest.report.deletes_applied > 0
 
     # Merges ran in the background and paid real write I/O on the same
     # devices the queries read from (endurance accounting is non-zero).
-    assert ingest.merges_completed > 0
-    assert ingest.merge_write_ios > 0
-    assert ingest.merge_write_bytes > 0
-    assert control.merges_completed == 0
-    assert control.merge_write_bytes == 0
+    assert ingest.report.merges_completed > 0
+    assert ingest.report.merge_write_ios > 0
+    assert ingest.report.merge_write_bytes > 0
+    assert control.report.merges_completed == 0
+    assert control.report.merge_write_bytes == 0
 
     # Headline: sustained ingest costs a bounded, documented p99 factor.
     assert control.p99_penalty == 1.0
-    assert ingest.p99_penalty <= serving_ingest.PENALTY_BOUND
+    assert ingest.p99_penalty <= serving.PENALTY_BOUND
 
     # Ingest competes for the device, it does not collapse throughput:
     # the fleet still clears the offered query load.
-    assert ingest.qps >= 0.9 * control.qps
+    assert ingest.report.throughput_qps >= 0.9 * control.report.throughput_qps
 
     # Answers over merged data are exactly a from-scratch rebuild's.
     for row in rows:
-        assert row.answers_match_rebuild
+        assert row.answers_match

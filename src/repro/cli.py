@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, get_args, get_type_hints
 
 import numpy as np
 
@@ -37,7 +38,14 @@ from repro.io.persistence import load_index, save_index
 from repro.obs.report import load_trace, render_report
 from repro.obs.trace import SpanTracer
 from repro.serving.catalog import CATALOG_NAMES, build_scenario, catalog
-from repro.serving.config import DataConfig, FaultTimeline, ServingConfig, WorkloadSpec
+from repro.serving.config import (
+    INGEST_SHAPES,
+    WORKLOAD_MODES,
+    DataConfig,
+    FaultTimeline,
+    ServingConfig,
+    WorkloadSpec,
+)
 from repro.serving.replication import ROUTING_POLICIES, FaultSpec
 from repro.serving.scenario import ScenarioResult, ScenarioSpec, run_scenario
 from repro.serving.sharding import PARTITION_SCHEMES
@@ -45,7 +53,65 @@ from repro.storage.blockstore import FileBlockStore
 from repro.storage.profiles import DEVICE_PROFILES, INTERFACE_PROFILES, make_engine
 from repro.utils.units import NS_PER_MS, NS_PER_US, format_bytes, format_iops, format_time
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "LOADTEST_FLAGS"]
+
+_ASYNC_INTERFACES = [n for n, p in INTERFACE_PROFILES.items() if not p.synchronous]
+
+#: Every ``loadtest`` flag that sets a :class:`ScenarioSpec` value, as
+#: (flag, config class, field, help).  Type, default and optionality are
+#: the dataclass field's, accepted values come from ``_CHOICES``, and
+#: validation is the configs' own.  A config field without a row here
+#: (``delta_capacity``, the diurnal / flash / ramp / drift shapes, ...)
+#: is set through ``repro scenarios --spec``.
+LOADTEST_FLAGS: tuple[tuple[str, type, str, str | None], ...] = (
+    ("--dataset", DataConfig, "dataset", None),
+    ("--n", DataConfig, "n", "database size"),
+    ("--queries", DataConfig, "pool_queries", "query count"),
+    ("--seed", ScenarioSpec, "seed", None),
+    ("--rho", DataConfig, "rho", "index exponent"),
+    ("--gamma", DataConfig, "gamma", "accuracy knob"),
+    ("--s-factor", DataConfig, "s_factor", None),
+    ("-k", ScenarioSpec, "k", None),
+    ("--shards", ServingConfig, "n_shards", None),
+    ("--scheme", ServingConfig, "scheme", None),
+    ("--device", ServingConfig, "device", None),
+    ("--devices-per-shard", ServingConfig, "devices_per_shard", None),
+    ("--interface", ServingConfig, "interface", None),
+    ("--workers", ServingConfig, "workers_per_shard", "CPU workers per shard"),
+    ("--replicas", ServingConfig, "replicas", "copies of each shard (R)"),
+    ("--routing", ServingConfig, "routing", None),
+    ("--hedge-delay-us", ServingConfig, "hedge_delay_us",
+     "explicit hedge delay; default adapts to the observed sub-query p50"),
+    ("--mode", WorkloadSpec, "mode", None),
+    ("--qps", WorkloadSpec, "qps", "open-loop rate"),
+    ("--arrivals", WorkloadSpec, "shape", None),
+    ("--concurrency", WorkloadSpec, "concurrency", "closed-loop client count"),
+    ("--requests", WorkloadSpec, "requests", "total queries"),
+    ("--zipf", WorkloadSpec, "zipf_s", "query reuse skew"),
+    ("--ingest-requests", WorkloadSpec, "ingest_requests",
+     "total ingest updates offered alongside the queries (0 disables the ingest traffic class)"),
+    ("--ingest-qps", WorkloadSpec, "ingest_qps",
+     "offered update rate (updates/s; requires --ingest-requests)"),
+    ("--delete-fraction", WorkloadSpec, "delete_fraction",
+     "fraction of ingest updates that are deletes"),
+    ("--batch", ServingConfig, "max_batch", "micro-batch size"),
+    ("--batch-delay-us", ServingConfig, "batch_delay_us", None),
+    ("--queue-capacity", ServingConfig, "queue_capacity", None),
+    ("--target-p99-ms", ScenarioSpec, "target_p99_ms", "SLO for the capacity plan"),
+)
+
+#: Accepted values of the string-valued fields above: the tuples the
+#: configs validate against.  ``shape`` takes the constant-rate shapes
+#: only; the others need fields that have no flag.
+_CHOICES = {
+    "dataset": DATASET_NAMES,
+    "scheme": PARTITION_SCHEMES,
+    "device": sorted(DEVICE_PROFILES),
+    "interface": _ASYNC_INTERFACES,
+    "routing": ROUTING_POLICIES,
+    "mode": WORKLOAD_MODES,
+    "shape": INGEST_SHAPES,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,20 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="list datasets, devices, and interfaces")
 
-    def common(
-        p: argparse.ArgumentParser,
-        dataset_default: str | None = None,
-        n_default: int = 10_000,
-        queries_default: int = 20,
-    ) -> None:
-        p.add_argument(
-            "--dataset",
-            choices=DATASET_NAMES,
-            required=dataset_default is None,
-            default=dataset_default,
-        )
-        p.add_argument("--n", type=int, default=n_default, help="database size")
-        p.add_argument("--queries", type=int, default=queries_default, help="query count")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--dataset", choices=DATASET_NAMES, required=True)
+        p.add_argument("--n", type=int, default=10_000, help="database size")
+        p.add_argument("--queries", type=int, default=20, help="query count")
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--rho", type=float, default=None, help="index exponent")
         p.add_argument("--gamma", type=float, default=0.5, help="accuracy knob")
@@ -86,11 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("-k", type=int, default=10)
     query.add_argument("--device", choices=sorted(DEVICE_PROFILES), default="cssd")
     query.add_argument("--count", type=int, default=1)
-    query.add_argument(
-        "--interface",
-        choices=[n for n, p in INTERFACE_PROFILES.items() if not p.synchronous],
-        default="io_uring",
-    )
+    query.add_argument("--interface", choices=_ASYNC_INTERFACES, default="io_uring")
 
     analyze = sub.add_parser("analyze", help="Sec. 4 storage requirements")
     common(analyze)
@@ -100,51 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest = sub.add_parser(
         "loadtest", help="drive a sharded query service and report latency SLOs"
     )
-    # Flag defaults come from the config dataclasses (one source of truth):
-    # the `loadtest` command is a thin adapter that builds a ScenarioSpec.
-    common(
-        loadtest,
-        dataset_default=DataConfig.dataset,
-        n_default=DataConfig.n,
-        queries_default=DataConfig.pool_queries,
-    )
-    loadtest.add_argument("-k", type=int, default=ScenarioSpec.k)
-    loadtest.add_argument("--shards", type=int, default=ServingConfig.n_shards)
-    loadtest.add_argument(
-        "--scheme", choices=PARTITION_SCHEMES, default=ServingConfig.scheme
-    )
-    loadtest.add_argument(
-        "--device", choices=sorted(DEVICE_PROFILES), default=ServingConfig.device
-    )
-    loadtest.add_argument(
-        "--devices-per-shard", type=int, default=ServingConfig.devices_per_shard
-    )
-    loadtest.add_argument(
-        "--interface",
-        choices=[n for n, p in INTERFACE_PROFILES.items() if not p.synchronous],
-        default=ServingConfig.interface,
-    )
-    loadtest.add_argument(
-        "--workers",
-        type=int,
-        default=ServingConfig.workers_per_shard,
-        help="CPU workers per shard",
-    )
-    loadtest.add_argument(
-        "--replicas",
-        type=int,
-        default=ServingConfig.replicas,
-        help="copies of each shard (R)",
-    )
-    loadtest.add_argument(
-        "--routing", choices=ROUTING_POLICIES, default=ServingConfig.routing
-    )
-    loadtest.add_argument(
-        "--hedge-delay-us",
-        type=float,
-        default=ServingConfig.hedge_delay_us,
-        help="explicit hedge delay; default adapts to the observed sub-query p50",
-    )
+    for flag, cls, name, help_text in LOADTEST_FLAGS:
+        hint = get_type_hints(cls)[name]
+        loadtest.add_argument(
+            flag,
+            # ``float | None``: an optional value, absent unless the flag is given.
+            type=hint if isinstance(hint, type) else get_args(hint)[0],
+            default=getattr(cls, name),
+            choices=_CHOICES.get(name),
+            help=help_text,
+        )
     loadtest.add_argument(
         "--fault",
         action="append",
@@ -152,59 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SHARD:REPLICA:MULT[:PERIOD_US:STALL_US]",
         help="degrade a replica by a latency multiplier, optionally with "
         "intermittent stalls; repeatable",
-    )
-    loadtest.add_argument("--mode", choices=("open", "closed"), default=WorkloadSpec.mode)
-    loadtest.add_argument(
-        "--qps", type=float, default=WorkloadSpec.qps, help="open-loop rate"
-    )
-    loadtest.add_argument(
-        "--arrivals", choices=("poisson", "uniform"), default=WorkloadSpec.shape
-    )
-    loadtest.add_argument(
-        "--concurrency",
-        type=int,
-        default=WorkloadSpec.concurrency,
-        help="closed-loop client count",
-    )
-    loadtest.add_argument(
-        "--requests", type=int, default=WorkloadSpec.requests, help="total queries"
-    )
-    loadtest.add_argument(
-        "--zipf", type=float, default=WorkloadSpec.zipf_s, help="query reuse skew"
-    )
-    loadtest.add_argument(
-        "--ingest-requests",
-        type=int,
-        default=WorkloadSpec.ingest_requests,
-        help="total ingest updates offered alongside the queries "
-        "(0 disables the ingest traffic class)",
-    )
-    loadtest.add_argument(
-        "--ingest-qps",
-        type=float,
-        default=WorkloadSpec.ingest_qps,
-        help="offered update rate (updates/s; requires --ingest-requests)",
-    )
-    loadtest.add_argument(
-        "--delete-fraction",
-        type=float,
-        default=WorkloadSpec.delete_fraction,
-        help="fraction of ingest updates that are deletes",
-    )
-    loadtest.add_argument(
-        "--batch", type=int, default=ServingConfig.max_batch, help="micro-batch size"
-    )
-    loadtest.add_argument(
-        "--batch-delay-us", type=float, default=ServingConfig.batch_delay_us
-    )
-    loadtest.add_argument(
-        "--queue-capacity", type=int, default=ServingConfig.queue_capacity
-    )
-    loadtest.add_argument(
-        "--target-p99-ms",
-        type=float,
-        default=ScenarioSpec.target_p99_ms,
-        help="SLO for the capacity plan",
     )
     loadtest.add_argument(
         "--trace",
@@ -423,59 +387,21 @@ def _parse_fault(spec: str) -> FaultSpec:
 
 
 def _scenario_from_loadtest(args: argparse.Namespace) -> ScenarioSpec:
-    """Adapt the legacy ``loadtest`` flag set into a :class:`ScenarioSpec`.
+    """The :class:`ScenarioSpec` a ``loadtest`` flag set describes.
 
-    The flags stay backward compatible; validation lives in the config
-    dataclasses, whose ``ValueError`` :func:`main` turns into the CLI's
-    usual one-line ``error: ...`` exit.
+    Validation lives in the config dataclasses, whose ``ValueError``
+    :func:`main` turns into the CLI's usual one-line ``error: ...`` exit.
     """
-    if args.hedge_delay_us is not None and args.routing != "hedged":
-        raise SystemExit(
-            f"error: --hedge-delay-us only applies to --routing hedged "
-            f"(got --routing {args.routing})"
-        )
-    faults = tuple(_parse_fault(spec) for spec in args.fault)
+    values: dict[type, dict[str, Any]] = {}
+    for flag, cls, name, _ in LOADTEST_FLAGS:
+        values.setdefault(cls, {})[name] = getattr(args, flag.lstrip("-").replace("-", "_"))
     return ScenarioSpec(
         name="loadtest",
-        data=DataConfig(
-            dataset=args.dataset,
-            n=args.n,
-            pool_queries=args.queries,
-            gamma=args.gamma,
-            s_factor=args.s_factor,
-            rho=args.rho,
-        ),
-        serving=ServingConfig(
-            n_shards=args.shards,
-            scheme=args.scheme,
-            device=args.device,
-            devices_per_shard=args.devices_per_shard,
-            interface=args.interface,
-            workers_per_shard=args.workers,
-            replicas=args.replicas,
-            routing=args.routing,
-            hedge_delay_us=args.hedge_delay_us,
-            max_batch=args.batch,
-            batch_delay_us=args.batch_delay_us,
-            queue_capacity=args.queue_capacity,
-        ),
-        workload=WorkloadSpec(
-            mode=args.mode,
-            requests=args.requests,
-            qps=args.qps,
-            # The legacy CLI ignores --arrivals in closed mode; the
-            # spec layer rejects the combination, so drop it here.
-            shape=args.arrivals if args.mode == "open" else "poisson",
-            zipf_s=args.zipf,
-            concurrency=args.concurrency,
-            ingest_requests=args.ingest_requests,
-            ingest_qps=args.ingest_qps,
-            delete_fraction=args.delete_fraction,
-        ),
-        faults=FaultTimeline(events=faults),
-        seed=args.seed,
-        k=args.k,
-        target_p99_ms=args.target_p99_ms,
+        data=DataConfig(**values[DataConfig]),
+        serving=ServingConfig(**values[ServingConfig]),
+        workload=WorkloadSpec(**values[WorkloadSpec]),
+        faults=FaultTimeline(events=tuple(_parse_fault(spec) for spec in args.fault)),
+        **values[ScenarioSpec],
     )
 
 

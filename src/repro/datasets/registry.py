@@ -23,7 +23,7 @@ class DatasetSpec:
 
     name: str
     generator: Callable[..., Dataset]
-    #: Paper Table 1 reference values (for EXPERIMENTS.md comparisons).
+    #: Paper Table 1 reference values (README, "Tests and benchmarks").
     paper_n_thousands: float
     paper_d: int
     paper_rc: float

@@ -16,8 +16,7 @@ this package makes the run inspectable *per query* and *over time*:
   visible instead of averaged away.
 - :mod:`repro.obs.selfprof` — wall-clock self-profiling of the event
   loop itself (events/sec, per-event-type counts): at production QPS
-  the *simulator* is the bottleneck, and its perf trajectory is a
-  committed artifact (``BENCH_serving.json``).
+  the *simulator* is the bottleneck (the layered benchmark tracks it).
 - :mod:`repro.obs.report` — renders a trace as an ASCII span waterfall
   and a tail-attribution table (the ``repro report`` subcommand).
 

@@ -3,8 +3,8 @@
 The serving stack simulates millions of users; at that scale the
 *simulator* — pure-Python per-event code — is the resource that runs
 out first, so its wall-clock throughput (loop events per real second)
-is the perf figure the ROADMAP tracks as a committed trajectory
-(``BENCH_serving.json``, diffed by ``benchmarks/compare_bench.py``).
+is a perf figure in its own right: the CLI prints it and the layered
+benchmark (``benchmarks/layered``) reads it beside ``host_ops_per_s``.
 
 :class:`LoopProfile` counts each event the service loop processes by
 type (completion / flush / hedge / arrival / update) — plain integer

@@ -242,6 +242,24 @@ def workload_updates(
     return updates
 
 
+#: The ServingConfig fields an index is built from (the fleet's shape,
+#: under the names ``ShardedIndex.build`` takes them by); routing,
+#: batching and ingest knobs only steer the run on top of it.
+_FLEET_FIELDS = (
+    "n_shards", "scheme", "device", "devices_per_shard", "interface", "replicas",
+)
+
+
+def _built_from(spec: ScenarioSpec) -> tuple[tuple[str, Any], ...]:
+    """Everything of ``spec`` that :func:`build_scenario_index` reads."""
+    return (
+        *((f"data.{name}", value) for name, value in spec.data.to_dict().items()),
+        ("seed", spec.seed),
+        *((f"serving.{name}", getattr(spec.serving, name)) for name in _FLEET_FIELDS),
+        ("faults", spec.faults),
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioIndex:
     """A built deployment, reusable across runs of compatible specs."""
@@ -249,6 +267,9 @@ class ScenarioIndex:
     dataset: "Dataset"
     params: E2LSHParams
     sharded: ShardedIndex
+    #: What :func:`build_scenario_index` built it from, which
+    #: :func:`run_scenario` holds a reusing spec to.
+    built_from: tuple[tuple[str, Any], ...] = ()
 
 
 def build_scenario_index(spec: ScenarioSpec) -> ScenarioIndex:
@@ -261,20 +282,16 @@ def build_scenario_index(spec: ScenarioSpec) -> ScenarioIndex:
     params = E2LSHParams(
         n=dataset.n, rho=rho, gamma=data.gamma, s_factor=data.s_factor
     )
-    serving = spec.serving
     sharded = ShardedIndex.build(
         dataset.data,
         params,
-        n_shards=serving.n_shards,
-        scheme=serving.scheme,
-        device=serving.device,
-        devices_per_shard=serving.devices_per_shard,
-        interface=serving.interface,
         seed=spec.seed,
-        replicas=serving.replicas,
         faults=spec.faults.events,
+        **{name: getattr(spec.serving, name) for name in _FLEET_FIELDS},
     )
-    return ScenarioIndex(dataset=dataset, params=params, sharded=sharded)
+    return ScenarioIndex(
+        dataset=dataset, params=params, sharded=sharded, built_from=_built_from(spec)
+    )
 
 
 @dataclass(frozen=True)
@@ -335,9 +352,10 @@ def run_scenario(
     """Run one scenario end to end and report against its SLO.
 
     ``index`` lets callers reuse a built deployment across several runs
-    (e.g. the routing-policy sweep in ``experiments/serving_replicas``);
-    it must have been built from a spec with the same data, serving, and
-    fault configuration — only the workload and SLO may differ.
+    (e.g. the routing-policy sweep in ``experiments/serving``).  It must
+    have been built from a spec with the same data, seed, fleet shape
+    and faults, or this raises ``ValueError``; routing, batching, ingest
+    knobs, workload and SLO may differ.
 
     ``profile_interval_ns`` is an *execution* knob, not part of the
     spec: it changes how the simulator's wall throughput is sampled,
@@ -346,6 +364,11 @@ def run_scenario(
     """
     if index is None:
         index = build_scenario_index(spec)
+    for (name, built), (_, wanted) in zip(index.built_from, _built_from(spec)):
+        if built != wanted:
+            raise ValueError(
+                f"index was built with {name}={built!r}, the spec says {wanted!r}"
+            )
     service = QueryService(
         index.sharded,
         dispatch=spec.serving.dispatch_config(),

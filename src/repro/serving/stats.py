@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -195,23 +195,58 @@ class ServiceStats:
         """Freeze the run into a :class:`ServiceReport`.
 
         ``shard_results`` holds, per shard, the per-replica
-        :class:`EngineResult` list.  The pre-replication flat form (a
-        bare :class:`EngineResult` per shard) went through a
-        DeprecationWarning cycle and is now rejected — wrap each result
-        in a one-element list.
+        :class:`EngineResult` list.
         """
         if any(isinstance(row, EngineResult) for row in shard_results):
             raise TypeError(
                 "ServiceStats.report takes one list of per-replica "
-                "EngineResults per shard; the flat per-shard form was "
-                "deprecated and has been removed — wrap each result in a "
-                "one-element list"
+                "EngineResults per shard, not a bare EngineResult"
             )
         nested: list[list[EngineResult]] = [list(row) for row in shard_results]
+        if not self.records and self.rejected == 0:
+            raise ValueError("no completed queries to report on")
+        # A run whose every query admission shed has no latency
+        # distribution to summarize, but it still happened: overload
+        # experiments (tiny ``queue_capacity``, huge offered rate) want
+        # the rejection count and queue figures back, not a crash.
+        idle = tuple(tuple(0.0 for _ in row) for row in nested)
+        report = ServiceReport(
+            completed=len(self.records),
+            rejected=self.rejected,
+            duration_ns=0.0,
+            throughput_qps=0.0,
+            mean_latency_ns=0.0,
+            p50_ns=0.0,
+            p95_ns=0.0,
+            p99_ns=0.0,
+            max_latency_ns=0.0,
+            mean_queue_depth=(
+                float(np.mean(self.queue_depth_samples)) if self.queue_depth_samples else 0.0
+            ),
+            max_queue_depth=max(self.queue_depth_samples, default=0),
+            mean_batch_size=(
+                float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
+            ),
+            shard_iops=tuple(0.0 for _ in nested),
+            shard_io_counts=tuple(
+                sum(result.io_count for result in row) for row in nested
+            ),
+            replica_iops=idle,
+            replica_io_counts=tuple(
+                tuple(result.io_count for result in row) for row in nested
+            ),
+            replica_active_fraction=idle,
+            hedges_armed=self.hedges_armed,
+            hedges_cancelled=self.hedges_cancelled,
+            hedges_issued=self.hedges_issued,
+            hedge_wins=self.hedge_wins,
+            hedge_losses=self.hedge_losses,
+            hedge_losers_cancelled=self.hedge_losers_cancelled,
+            hedges_suppressed=self.hedges_suppressed,
+            **self._ingest_fields(nested),
+        )
         if not self.records:
-            if self.rejected == 0:
-                raise ValueError("no completed queries to report on")
-            return self._rejection_only_report(nested)
+            return report
         latencies = self.latencies_ns()
         first_arrival = min(record.arrival_ns for record in self.records)
         last_finish = max(record.finish_ns for record in self.records)
@@ -224,9 +259,8 @@ class ServiceStats:
             active = stats.last_completion_ns - stats.first_submit_ns
             return min(1.0, max(0.0, active / duration))
 
-        return ServiceReport(
-            completed=len(self.records),
-            rejected=self.rejected,
+        return replace(
+            report,
             duration_ns=duration,
             throughput_qps=len(self.records) * NS_PER_S / duration,
             mean_latency_ns=float(latencies.mean()),
@@ -234,38 +268,17 @@ class ServiceStats:
             p95_ns=percentile(latencies, 95),
             p99_ns=percentile(latencies, 99),
             max_latency_ns=float(latencies.max()),
-            mean_queue_depth=(
-                float(np.mean(self.queue_depth_samples)) if self.queue_depth_samples else 0.0
-            ),
-            max_queue_depth=max(self.queue_depth_samples, default=0),
-            mean_batch_size=(
-                float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
-            ),
             shard_iops=tuple(
                 sum(result.device_stats.observed_iops() for result in row)
                 for row in nested
-            ),
-            shard_io_counts=tuple(
-                sum(result.io_count for result in row) for row in nested
             ),
             replica_iops=tuple(
                 tuple(result.device_stats.observed_iops() for result in row)
                 for row in nested
             ),
-            replica_io_counts=tuple(
-                tuple(result.io_count for result in row) for row in nested
-            ),
             replica_active_fraction=tuple(
                 tuple(active_fraction(result) for result in row) for row in nested
             ),
-            hedges_armed=self.hedges_armed,
-            hedges_cancelled=self.hedges_cancelled,
-            hedges_issued=self.hedges_issued,
-            hedge_wins=self.hedge_wins,
-            hedge_losses=self.hedge_losses,
-            hedge_losers_cancelled=self.hedge_losers_cancelled,
-            hedges_suppressed=self.hedges_suppressed,
-            **self._ingest_fields(nested),
         )
 
     def _ingest_fields(self, nested: list[list[EngineResult]]) -> dict[str, object]:
@@ -309,52 +322,6 @@ class ServiceStats:
                 tuple(result.write_count for result in row) for row in nested
             ),
         }
-
-    def _rejection_only_report(
-        self, nested: list[list[EngineResult]]
-    ) -> "ServiceReport":
-        """Report of a run where admission shed every single query.
-
-        There is no latency distribution to summarize, but the run still
-        happened — overload experiments (tiny ``queue_capacity``, huge
-        offered rate) want the rejection count and queue figures back,
-        not a crash.
-        """
-        return ServiceReport(
-            completed=0,
-            rejected=self.rejected,
-            duration_ns=0.0,
-            throughput_qps=0.0,
-            mean_latency_ns=0.0,
-            p50_ns=0.0,
-            p95_ns=0.0,
-            p99_ns=0.0,
-            max_latency_ns=0.0,
-            mean_queue_depth=(
-                float(np.mean(self.queue_depth_samples)) if self.queue_depth_samples else 0.0
-            ),
-            max_queue_depth=max(self.queue_depth_samples, default=0),
-            mean_batch_size=(
-                float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
-            ),
-            shard_iops=tuple(0.0 for _ in nested),
-            shard_io_counts=tuple(
-                sum(result.io_count for result in row) for row in nested
-            ),
-            replica_iops=tuple(tuple(0.0 for _ in row) for row in nested),
-            replica_io_counts=tuple(
-                tuple(result.io_count for result in row) for row in nested
-            ),
-            replica_active_fraction=tuple(tuple(0.0 for _ in row) for row in nested),
-            hedges_armed=self.hedges_armed,
-            hedges_cancelled=self.hedges_cancelled,
-            hedges_issued=self.hedges_issued,
-            hedge_wins=self.hedge_wins,
-            hedge_losses=self.hedge_losses,
-            hedge_losers_cancelled=self.hedge_losers_cancelled,
-            hedges_suppressed=self.hedges_suppressed,
-            **self._ingest_fields(nested),
-        )
 
 
 @dataclass(frozen=True)

@@ -72,12 +72,6 @@ def test_layered_result_becomes_one_row_per_workload(trajectory, tmp_path):
 def test_dirty_tree_is_marked_and_unknown_schema_refused(trajectory):
     entry = trajectory.summarize(layered_result(dirty=True), "x", "t")
     assert entry["commit"] == "11f81a6+dirty"
-    with pytest.raises(SystemExit, match="neither repro-serving-bench/1 nor layered-bench/1"):
+    with pytest.raises(SystemExit, match="is not layered-bench/1"):
         trajectory.summarize({"schema": "something-else/9"}, "x")
 
-
-def test_serving_artifact_still_summarizes(trajectory):
-    committed = json.loads((SCRIPT.parents[1] / "BENCH_serving.json").read_text())
-    entry = trajectory.summarize(committed, "x", "t")
-    assert "source" not in entry and entry["rows"]
-    assert all("wall_events_per_sec" in row for row in entry["rows"].values())

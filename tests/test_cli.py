@@ -199,6 +199,17 @@ def test_loadtest_bad_sampling_interval_is_a_one_line_error(tmp_path, flags, mes
         run_cli(*SMALL_LOADTEST, "--metrics-out", str(tmp_path / "m.json"), *flags)
 
 
+def test_loadtest_closed_loop_takes_no_arrival_process():
+    # The spec layer's rule, not a CLI one: the parent swallowed
+    # ``--arrivals`` in closed mode while a spec file saying the same
+    # thing was refused.
+    with pytest.raises(SystemExit, match="^error: closed-loop workloads have no arrival process"):
+        run_cli(*SMALL_LOADTEST, "--mode", "closed", "--arrivals", "uniform")
+    code, text = run_cli(*SMALL_LOADTEST, "--mode", "closed")
+    assert code == 0
+    assert "closed loop" in text
+
+
 def test_zero_size_database_is_a_one_line_error(tmp_path):
     prefix = str(tmp_path / "idx")
     with pytest.raises(SystemExit, match="error: n must be >= 1"):
@@ -289,6 +300,52 @@ def test_loadtest_flags_equal_scenario_spec():
         seed=5,
     )
     assert run_scenario(spec).report.describe() in text
+
+
+#: Config fields ``loadtest`` has no flag for: set them in a spec file
+#: (``repro scenarios --spec``).  A new config field goes here or into
+#: ``cli.LOADTEST_FLAGS`` — the test below fails until it is in one.
+SPEC_FILE_ONLY = {
+    "delta_capacity", "merge_threshold", "ingest_queue_capacity", "merge_io_batch",
+    "period_us", "amplitude", "flash_at_us", "flash_duration_us", "flash_multiplier",
+    "ramp_to_qps", "ramp_duration_us", "hot_drift_period_us", "hot_drift_stride",
+    "think_time_us", "ingest_shape",
+}
+
+#: The ``loadtest`` option strings of PR 20, which the generated parser
+#: must reproduce exactly.
+LOADTEST_OPTIONS = {
+    "-h", "--help", "--dataset", "--n", "--queries", "--seed", "--rho", "--gamma",
+    "--s-factor", "-k", "--shards", "--scheme", "--device", "--devices-per-shard",
+    "--interface", "--workers", "--replicas", "--routing", "--hedge-delay-us", "--fault",
+    "--mode", "--qps", "--arrivals", "--concurrency", "--requests", "--zipf",
+    "--ingest-requests", "--ingest-qps", "--delete-fraction", "--batch",
+    "--batch-delay-us", "--queue-capacity", "--target-p99-ms", "--trace", "--metrics-out",
+    "--metrics-interval-us", "--profile-interval-us",
+}
+
+
+def test_every_config_field_has_a_flag_or_is_spec_file_only():
+    from dataclasses import fields
+
+    from repro.cli import LOADTEST_FLAGS
+    from repro.serving import DataConfig, ServingConfig, WorkloadSpec
+
+    flagged = {(cls, name) for _, cls, name, _ in LOADTEST_FLAGS}
+    assert len(flagged) == len(LOADTEST_FLAGS)
+    for cls in (DataConfig, ServingConfig, WorkloadSpec):
+        for field in fields(cls):
+            assert ((cls, field.name) in flagged) != (field.name in SPEC_FILE_ONLY), (
+                f"{cls.__name__}.{field.name}: give it a loadtest flag or list it "
+                "in SPEC_FILE_ONLY (exactly one of the two)"
+            )
+
+
+def test_loadtest_option_strings_are_the_committed_set():
+    subparsers = build_parser()._subparsers._group_actions[0]
+    options = set(subparsers.choices["loadtest"]._option_string_actions)
+    assert options == LOADTEST_OPTIONS
+    assert len(LOADTEST_OPTIONS - {"-h", "--help"}) == 35
 
 
 def test_report_renders_waterfall_and_tail_table(tmp_path):

@@ -1,7 +1,7 @@
 """Tests for repro.serving.scenario: round-trips and replayability."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -142,6 +142,56 @@ def test_index_reuse_matches_fresh_build():
     assert report_bytes(run_scenario(spec, index=index)) == report_bytes(
         run_scenario(spec)
     )
+
+
+def test_index_built_for_another_deployment_is_refused():
+    # At the parent this ran and reported 4 shards x 2 replicas over a
+    # one-shard, 1,200-row index.
+    built = ScenarioSpec(name="a", data=DataConfig(n=1200), seed=3)
+    index = build_scenario_index(built)
+    asked = ScenarioSpec(
+        name="b",
+        data=DataConfig(n=2400),
+        serving=ServingConfig(n_shards=4, scheme="table", replicas=2),
+        seed=3,
+    )
+    message = r"^index was built with data\.n=1200, the spec says 2400$"
+    with pytest.raises(ValueError, match=message):
+        run_scenario(asked, index=index)
+    same_data = dict(name="c", data=DataConfig(n=1200))
+    for overrides, field in [
+        (dict(seed=4), "seed"),
+        (dict(seed=3, serving=ServingConfig(n_shards=2)), r"serving\.n_shards"),
+        (dict(seed=3, serving=ServingConfig(replicas=2)), r"serving\.replicas"),
+        (
+            dict(
+                seed=3,
+                faults=FaultTimeline(
+                    events=(FaultSpec(shard=0, replica=0, latency_multiplier=2.0),)
+                ),
+            ),
+            "faults",
+        ),
+    ]:
+        with pytest.raises(ValueError, match=f"index was built with {field}="):
+            run_scenario(ScenarioSpec(**same_data, **overrides), index=index)
+
+
+def test_index_reuse_across_routing_batching_ingest_and_workload():
+    # What the experiments rely on: a closed-loop probe's index serves
+    # open-loop runs, and one replicated index serves a routing sweep.
+    fleet = ServingConfig(n_shards=2, scheme="table", replicas=2)
+    probe = run_scenario(
+        small_spec(
+            serving=fleet, workload=WorkloadSpec(mode="closed", requests=8, concurrency=4)
+        )
+    )
+    for routing in ("round_robin", "least_outstanding", "hedged"):
+        serving = replace(fleet, routing=routing, max_batch=4, merge_threshold=4)
+        spec = small_spec(serving=serving, target_p99_ms=9.0)
+        assert report_bytes(run_scenario(spec, index=probe.index)) == report_bytes(
+            run_scenario(spec)
+        )
 
 
 def test_closed_loop_scenario_runs():
