@@ -26,7 +26,12 @@ __all__ = ["RTree", "NNCounters", "min_dist_sq"]
 
 @dataclass
 class NNCounters:
-    """Operation counters for one incremental-NN traversal."""
+    """Modelled operations of one incremental-NN traversal.
+
+    What the machine model prices: the textbook eager best-first search,
+    every entry of a visited page pushed, every page and point popped.  Not
+    host heap traffic (a visited leaf sits on the host's heap as one entry).
+    """
 
     node_visits: int = 0
     heap_ops: int = 0
@@ -136,28 +141,43 @@ class RTree:
             )
         counters = counters if counters is not None else NNCounters()
         root = self.root
-        # Heap entries: (squared distance, tiebreak, is_point, payload).
-        tiebreak = itertools.count()
-        heap: list[tuple[float, int, bool, object]] = [
-            (float(min_dist_sq(root.lower, root.upper, query)), next(tiebreak), False, root)
-        ]
+        # Heap entries: (squared distance, tiebreak, page, position, order,
+        # scores); a page still to be visited has order None.  A visited leaf
+        # is *one* cursor entry keyed by its nearest unreturned point, entry
+        # ``order[position]`` of its stable argsort.  Keys are those of pushing
+        # every point at the visit, so pops, ties and yields are unchanged.
+        heap = [(float(min_dist_sq(root.lower, root.upper, query)), 0, root, 0, None, None)]
+        next_tiebreak = 1
         counters.heap_ops += 1
-        push, pop = heapq.heappush, heapq.heappop
+        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
         while heap:
-            dist_sq, _, is_point, payload = pop(heap)
+            dist_sq, tiebreak, node, position, order, scores = heap[0]
             counters.heap_ops += 1
-            if is_point:
+            if order is not None:
+                entry = order.item(position)
+                position += 1
+                if position == order.size:
+                    pop(heap)
+                else:
+                    following = order.item(position)
+                    key = scores.item(following), tiebreak - entry + following
+                    replace(heap, (*key, node, position, order, scores))
                 counters.points_returned += 1
-                yield math.sqrt(dist_sq), payload  # type: ignore[misc]
+                yield math.sqrt(dist_sq), node.entries[entry]
                 continue
-            node: _Node = payload  # type: ignore[assignment]
+            pop(heap)
             counters.node_visits += 1
             counters.heap_ops += len(node.entries)
-            # One kernel scores the whole page; its entries are points
-            # exactly when the page is a leaf.
-            scores = node.entry_dist_sq(query).tolist()
-            for item in zip(scores, tiebreak, itertools.repeat(node.is_leaf), node.entries):
-                push(heap, item)
+            scores = node.entry_dist_sq(query)  # one kernel scores the whole page
+            if node.is_leaf:
+                order = scores.argsort(kind="stable")
+                nearest = order.item(0)
+                push(heap, (scores.item(nearest), next_tiebreak + nearest, node, 0, order, scores))
+            else:
+                tiebreaks = itertools.count(next_tiebreak)
+                for score, tiebreak, child in zip(scores.tolist(), tiebreaks, node.entries):
+                    push(heap, (score, tiebreak, child, 0, None, None))
+            next_tiebreak += len(node.entries)
 
     def knn(self, query: np.ndarray, k: int) -> list[tuple[float, int]]:
         """Exact k nearest points in the projected space (testing helper)."""

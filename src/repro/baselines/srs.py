@@ -21,8 +21,12 @@ uses SRS as the representative state-of-the-art small-index method.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from bisect import bisect_left
+from collections import OrderedDict
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.stats import chi2
@@ -39,6 +43,34 @@ __all__ = ["SRSIndex", "DEFAULT_EARLY_STOP_CONFIDENCE"]
 #: target of 1/2 - 1/e (stop once the chance of a missed c-NN among the
 #: unseen points drops below 1 - that target).
 DEFAULT_EARLY_STOP_CONFIDENCE = 1.0 - (0.5 - 1.0 / np.e)
+
+#: Walks kept across all indices, least recently used first out: one T' sweep's
+#: query set (40 at the default scale); past that a sweep walks from the root again.
+_MAX_WALKS = 64
+#: (tree walked, query bytes) -> (recorded columns, the suspended walk).
+_WALKS: OrderedDict[tuple[RTree, bytes], tuple[tuple[array, ...], Iterator[tuple]]] = OrderedDict()
+
+
+def _extend(
+    columns: tuple[array, ...], tree: RTree, data: np.ndarray, query: np.ndarray, start: np.ndarray
+) -> Iterator[tuple[float, int, float, int, int]]:
+    """``(projected dist, point id, true dist, node visits, heap ops)`` per point.
+
+    Tree and query fix the stream (T' picks a prefix, k a top-k of it), so it
+    is walked once: ``columns`` records each point beside the ``NNCounters``
+    values at its yield; later calls replay that, then resume this generator.
+    """
+    counters = NNCounters()
+    dists, ids, true_dists, node_visits, heap_ops = (column.append for column in columns)
+    for projected_dist, point_id in tree.incremental_nn(start, counters):
+        diff = data[point_id] - query  # float32 row promoted exactly
+        true_dist = math.sqrt(diff.dot(diff))
+        dists(projected_dist)
+        ids(point_id)
+        true_dists(true_dist)
+        node_visits(counters.node_visits)
+        heap_ops(counters.heap_ops)
+        yield projected_dist, point_id, true_dist, counters.node_visits, counters.heap_ops
 
 
 class SRSIndex:
@@ -81,7 +113,7 @@ class SRSIndex:
 
     @property
     def index_memory_bytes(self) -> int:
-        """DRAM of the projections + R-tree (the paper's "tiny index")."""
+        """Modelled DRAM, projections + R-tree: the paper's "tiny index" (not the walk memo)."""
         return self.projected.nbytes + self.tree.memory_bytes + self.projection.nbytes
 
     def query(
@@ -112,16 +144,21 @@ class SRSIndex:
         if budget < k:
             raise ValueError(f"t_prime={budget} smaller than k={k}")
 
-        projected_query = query @ self.projection
-        counters = NNCounters()
+        key = (self.tree, query.tobytes())
+        # Out of the memo while it runs: a walk torn by an error or an
+        # interrupt never goes back, so cannot pass for an exhausted one.
+        walk = _WALKS.pop(key, None)
+        if walk is None:
+            columns = (array("d"), array("q"), array("d"), array("q"), array("q"))
+            query = query.copy()  # the walk outlives the caller's buffer
+            walk = (columns, _extend(columns, self.tree, self.data, query, query @ self.projection))
         best_ids: list[int] = []
         best_dists: list[float] = []
-        examined = 0
-
-        for projected_dist, point_id in self.tree.incremental_nn(projected_query, counters):
+        examined = node_visits = heap_ops = 0
+        # chain: unlike ``yield from``, leaving it early keeps the walk suspended.
+        points = itertools.chain(zip(*walk[0]), walk[1])
+        for projected_dist, point_id, true_dist, node_visits, heap_ops in points:
             examined += 1
-            diff = self.data[point_id] - query  # float32 row promoted exactly
-            true_dist = math.sqrt(diff.dot(diff))
             # Maintain the running top-k (insertion into a short list).
             position = bisect_left(best_dists, true_dist)
             if position < k:
@@ -138,14 +175,17 @@ class SRSIndex:
                     confidence = chi2.cdf(projected_dist**2 / threshold**2, df=self.m)
                     if confidence >= early_stop_confidence:
                         break
+        _WALKS[key] = walk
+        if len(_WALKS) > _MAX_WALKS:
+            _WALKS.popitem(last=False)
 
         stats = QueryStats(
             ops=OpCounts(
                 projection_scalar_ops=self.d * self.m,
                 distance_scalar_ops=examined * self.d,
                 candidate_fetches=examined,
-                tree_node_visits=counters.node_visits,
-                heap_ops=counters.heap_ops,
+                tree_node_visits=node_visits,
+                heap_ops=heap_ops,
             ),
             candidates_checked=examined,
         )

@@ -8,6 +8,8 @@ code replaced.  Everything the machine model or a figure reads must be
 """
 
 import dataclasses
+import random
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from reference_baselines import (
     ReferenceStorageSRS,
 )
 
+from repro.baselines import srs as srs_module
 from repro.baselines.bptree import BPlusTree, TraversalCounters
 from repro.baselines.qalsh import QALSHIndex
 from repro.baselines.rtree import NNCounters, RTree
@@ -227,14 +230,22 @@ def test_srs_guarantee_mode_matches(srs_pair):
     )
 
 
+def swap_in_integer_projection(index):
+    """An integer projection keeps the lattice's exact ties in the projected
+    space too, so the heap's tiebreak order is what decides."""
+    index.projection = np.round(index.projection)
+    index.projected = index.data.astype(np.float64) @ index.projection
+    index.tree = RTree(index.projected, leaf_capacity=8, fanout=3)
+    return index
+
+
+def tied_srs(data):
+    return swap_in_integer_projection(SRSIndex(data, m=3, seed=2, leaf_capacity=8, fanout=3))
+
+
 def test_srs_ties_in_projected_and_true_distance():
     data, queries = lattice(8, 500, 5)
-    # An integer projection keeps the lattice's exact ties in the
-    # projected space too, so the heap's tiebreak order is what decides.
-    index = SRSIndex(data, m=3, seed=2, leaf_capacity=8, fanout=3)
-    index.projection = np.round(index.projection)
-    index.projected = data.astype(np.float64) @ index.projection
-    index.tree = RTree(index.projected, leaf_capacity=8, fanout=3)
+    index = tied_srs(data)
     oracle = ReferenceSRS(index)
     for query in queries:
         for t_prime in (4, 60, index.n):
@@ -269,6 +280,166 @@ def test_property_srs_matches(seed, n, m, k, budget, grid):
         assert_same_answer(
             index.query(query, k=k, t_prime=t_prime), oracle.query(query, k=k, t_prime=t_prime)
         )
+
+
+# -- SRS: a walk is kept and resumed ------------------------------------------------
+#
+# ``SRSIndex.query`` replays and resumes one recorded walk per (tree, query).
+# Whatever calls came before, an answer must equal a *fresh index's* (which
+# walks from the root) and the reference's: ids, distance bits, every count.
+
+
+def srs_builders():
+    """(name, () -> a new index over the same data, queries): smooth and tied."""
+    smooth, smooth_queries = clustered(21, 700, 16, n_queries=5)
+    tied, tied_queries = lattice(8, 500, 5, n_queries=5)
+    return [
+        ("clustered", lambda: SRSIndex(smooth, m=6, seed=4, leaf_capacity=8), smooth_queries),
+        ("lattice", lambda: tied_srs(tied), tied_queries),
+    ]
+
+
+SRS_BUILDERS = srs_builders()
+
+
+@pytest.fixture(params=SRS_BUILDERS, ids=lambda param: param[0])
+def srs_build(request):
+    return request.param[1:]
+
+
+def assert_reuse_is_invisible(build, queries, calls, kept=True):
+    """``calls`` = (query row, k, t_prime | None) in order, all on one index.
+
+    ``kept``: no walk is evicted on the way, so each query's record must be as
+    long as its deepest call so far — it was resumed, never walked again.
+    """
+    index = build()
+    oracle = ReferenceSRS(index)
+    deepest: dict[int, int] = {}
+    for step, (row, k, t_prime) in enumerate(calls):
+        got = index.query(queries[row], k=k, t_prime=t_prime)
+        assert_same_answer(got, build().query(queries[row], k=k, t_prime=t_prime))
+        assert_same_answer(got, oracle.query(queries[row], k=k, t_prime=t_prime))
+        assert got.stats.candidates_checked <= (t_prime or index.n), step
+        deepest[row] = max(deepest.get(row, 0), got.stats.candidates_checked)
+        if kept:
+            columns, _ = srs_module._WALKS[index.tree, queries[row].astype(np.float64).tobytes()]
+            assert len(columns[0]) == deepest[row], step
+
+
+def test_srs_budgets_in_any_order_reuse_one_walk(srs_build):
+    build, queries = srs_build
+    ascending = [4, 9, 37, 150, 400]
+    shuffled = random.Random(5).sample(ascending, len(ascending))
+    for budgets in (ascending, ascending[::-1], shuffled, [37, 37, 400, 400, 37]):
+        calls = [(row, 4, t_prime) for t_prime in budgets for row in range(len(queries))]
+        assert_reuse_is_invisible(build, queries, calls)
+
+
+def test_srs_interleaved_k_on_the_same_walks(srs_build):
+    build, queries = srs_build
+    calls = [(row, k, t_prime) for t_prime in (10, 200, 60) for k in (1, 10) for row in (0, 1, 2)]
+    assert_reuse_is_invisible(build, queries, calls)
+
+
+def test_srs_guarantee_mode_before_and_after_a_budget_run(srs_build):
+    """The chi-squared stop reads the replayed projected distances."""
+    build, queries = srs_build
+    rows = range(len(queries))
+    for k in (1, 4):
+        calls = [(row, k, None) for row in rows]
+        calls += [(row, k, t_prime) for t_prime in (300, 12) for row in rows]
+        calls += [(row, k, None) for row in rows]
+        assert_reuse_is_invisible(build, queries, calls)
+
+
+def test_srs_budget_beyond_n_exhausts_the_walk_then_replays_it(srs_build):
+    build, queries = srs_build
+    n = build().n
+    calls = [(0, 3, 50), (0, 3, n + 100), (0, 3, n + 100), (0, 3, n), (0, 3, 7), (0, 3, None)]
+    assert_reuse_is_invisible(build, queries, calls)
+    answer = build().query(queries[0], k=3, t_prime=n + 100)
+    assert answer.stats.candidates_checked == n
+
+
+def test_srs_sweep_over_more_queries_than_the_memo_keeps():
+    """Eviction mid-sweep: every walk is gone by the time its query recurs."""
+    data, _ = clustered(22, 400, 8)
+    rng = np.random.default_rng(3)
+    queries = rng.normal(scale=3.0, size=(srs_module._MAX_WALKS + 9, 8)).astype(np.float32)
+    rows = range(len(queries))
+    calls = [(row, 2, t_prime) for t_prime in (5, 40, 20) for row in rows]
+    # ... and a few that do recur while still kept.
+    calls += [(row, 2, t_prime) for t_prime in (60, 30) for row in (3, 4)]
+
+    def build():
+        return SRSIndex(data, m=4, seed=1, leaf_capacity=8)
+
+    assert_reuse_is_invisible(build, queries, calls, kept=False)
+    assert len(srs_module._WALKS) == srs_module._MAX_WALKS
+
+
+def test_srs_walk_belongs_to_its_tree():
+    """A walk recorded before the tree is swapped is not served after it."""
+    data, queries = lattice(8, 500, 5)
+    index = SRSIndex(data, m=3, seed=2, leaf_capacity=8, fanout=3)
+    before = index.query(queries[0], k=4, t_prime=60)
+    swap_in_integer_projection(index)
+    after = index.query(queries[0], k=4, t_prime=60)
+    assert_same_answer(after, tied_srs(data).query(queries[0], k=4, t_prime=60))
+    assert dataclasses.asdict(after.stats.ops) != dataclasses.asdict(before.stats.ops)
+
+
+def test_srs_walk_outlives_the_callers_buffer():
+    """A float64 query is not copied on the way in; the parked walk must not see
+    what the caller writes into that buffer afterwards."""
+    data, queries = clustered(23, 600, 12)
+    index = SRSIndex(data, m=5, seed=8, leaf_capacity=8)
+    buffer = queries[0].astype(np.float64)
+    index.query(buffer, k=3, t_prime=20)
+    buffer[:] = queries[1]
+    fresh = SRSIndex(data, m=5, seed=8, leaf_capacity=8)
+    assert_same_answer(
+        index.query(queries[0], k=3, t_prime=300), fresh.query(queries[0], k=3, t_prime=300)
+    )
+
+
+def test_srs_torn_walk_is_forgotten(monkeypatch):
+    """An error inside the suspended walk finishes its generator for good; the
+    record it leaves must not pass for an exhausted walk."""
+    data, queries = clustered(24, 600, 12)
+    index = SRSIndex(data, m=5, seed=8, leaf_capacity=8)
+    index.query(queries[0], k=2, t_prime=10)
+
+    def interrupted(_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(srs_module, "math", types.SimpleNamespace(sqrt=interrupted))
+    with pytest.raises(KeyboardInterrupt):
+        index.query(queries[0], k=2, t_prime=50)
+    monkeypatch.undo()
+    fresh = SRSIndex(data, m=5, seed=8, leaf_capacity=8)
+    assert_same_answer(
+        index.query(queries[0], k=2, t_prime=50), fresh.query(queries[0], k=2, t_prime=50)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tied=st.booleans(),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 4), st.integers(1, 6), st.one_of(st.none(), st.integers(0, 520))
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_property_srs_reuse_is_invisible(tied, calls):
+    _, build, queries = SRS_BUILDERS[tied]
+    assert_reuse_is_invisible(
+        build, queries, [(row, k, None if extra is None else k + extra) for row, k, extra in calls]
+    )
 
 
 # -- StorageSRS -------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.rtree import NNCounters, RTree
+from repro.baselines.rtree import NNCounters, RTree, _Node
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,29 @@ def test_counters_scale_with_depth(tree_and_points):
     zip_take(tree.incremental_nn(np.zeros(6), many), 200)
     assert many.node_visits >= few.node_visits
     assert many.heap_ops > few.heap_ops
+
+
+def test_counters_price_the_eager_search_at_every_yield(tree_and_points, monkeypatch):
+    """``NNCounters`` is the model's eager search, whatever the host heap holds:
+    one root push, one pop per page and point, one push per entry of a visited
+    page — and a visited page is scored by exactly one kernel."""
+    tree, _ = tree_and_points
+    scored: list[int] = []
+    kernel = _Node.entry_dist_sq
+
+    def spy(node, query):
+        scored.append(len(node.entries))
+        return kernel(node, query)
+
+    monkeypatch.setattr(_Node, "entry_dist_sq", spy)
+    for query in (np.zeros(6), np.full(6, 3.0)):
+        scored.clear()
+        counters = NNCounters()
+        for returned, _ in enumerate(tree.incremental_nn(query, counters), start=1):
+            assert counters.points_returned == returned
+            assert counters.node_visits == len(scored)
+            assert counters.heap_ops == 1 + len(scored) + returned + sum(scored)
+        assert counters.node_visits == tree.n_nodes
 
 
 def test_single_point_tree():

@@ -1,8 +1,11 @@
 """Tests for repro.baselines.srs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.baselines import srs as srs_module
 from repro.baselines.linear_scan import LinearScanIndex
 from repro.baselines.srs import SRSIndex
 
@@ -78,6 +81,26 @@ def test_index_memory_is_tiny(data_and_queries, index):
     data, _ = data_and_queries
     # The "tiny index" property: far below the raw data in float64 terms.
     assert index.index_memory_bytes < data.nbytes * 2
+
+
+def test_walk_memo_is_bounded(data_and_queries, index):
+    """200 distinct queries at a large budget (a quarter of n): the memo stops at
+    its walk cap and retains under 7 MB (measured 3.8 MB; without the cap 11.9 MB)."""
+    data, _ = data_and_queries
+    rng = np.random.default_rng(43)
+    queries = data[rng.integers(0, data.shape[0], 200)] + rng.normal(scale=0.3, size=(200, 32))
+    srs_module._WALKS.clear()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for query in queries:
+            index.query(query.astype(np.float32), k=1, t_prime=500)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(srs_module._WALKS) == srs_module._MAX_WALKS == 64
+    # Per walk: 40 B per recorded point + ~0.8 KB per visited leaf's cursor.
+    assert retained < 7_000_000
 
 
 def test_topk_sorted(data_and_queries, index):
