@@ -22,7 +22,7 @@ memory-mapped baseline of Sec. 6.5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Generator, Sequence
 
 import numpy as np
 
@@ -37,12 +37,15 @@ from repro.layout.bucket import NULL_ADDRESS, decode_block, decode_blocks  # noq
 from repro.layout.builder import BuiltIndex, IndexBuilder, TableHandle
 from repro.layout.hash_table import SLOT_SIZE
 from repro.storage.blockstore import BlockStore, MemoryBlockStore
-from repro.storage.engine import AsyncIOEngine, Compute, EngineResult, Read, ReadBatch, Task
+from repro.storage.engine import AsyncIOEngine, EngineResult, Task
+from repro.storage.engine import Compute, Read, ReadBatch, Segment
 from repro.storage.page_cache import PageCache
 from repro.utils.validation import require_finite_rows
 
 __all__ = ["E2LSHoSIndex", "BatchResult"]
 
+#: The live body: unlike a :data:`Task` in general, it yields nothing else.
+_LiveTask = Generator[Compute | ReadBatch, Any, QueryAnswer]
 #: Upper bound on memoized queries; cleared wholesale when exceeded
 #: (service query pools are far smaller, so this never churns).
 _PLAN_CACHE_CAP = 4096
@@ -155,29 +158,30 @@ class _WavePlan:
 class _Memo:
     """What the index keeps per ``(query bytes, k, stop_k)``: the hash-plan
     row from first sight; from the first recurrence also the task's data
-    plane — the actions the live body yielded and its answer in local
-    ids — replayed while the store is unchanged.  ``answer`` is set when
-    the recording finishes; a partial ``actions`` list is never replayed."""
+    plane — what the live body yielded, a ``Segment`` per I/O wait, and its
+    answer in local ids — replayed while the store is unchanged.  ``answer``
+    is set when the recording finishes; partial ``segments`` never replay."""
 
-    __slots__ = ("plan", "row", "k", "stop_k", "actions", "answer")
+    __slots__ = ("plan", "row", "k", "stop_k", "segments", "answer")
 
     def __init__(self, row: int, k: int, stop_k: int) -> None:
         self.plan: _WavePlan  # set by ``query_tasks`` before any task starts
         self.row, self.k, self.stop_k = row, k, stop_k
-        self.actions: list[Compute | ReadBatch] | None = None
+        self.segments: list[Segment] | None = None
         self.answer: tuple[np.ndarray, np.ndarray, QueryStats] | None = None
 
 
 class _Replay:
-    """One unfinished replay: how far it got, and the live body once the
-    store changed under it (see ``invalidate_query_caches``)."""
+    """One unfinished replay: the segments it has yielded, and from
+    ``invalidate_query_caches`` the live body and its parked batch's payload."""
 
-    __slots__ = ("memo", "id_map", "position", "live")
+    __slots__ = ("memo", "id_map", "position", "live", "payload")
 
     def __init__(self, memo: _Memo, id_map: np.ndarray | None) -> None:
         self.memo, self.id_map = memo, id_map
         self.position = 0
         self.live: Task | None = None
+        self.payload: list[bytes] | None = None
 
 
 def _answer(
@@ -292,22 +296,23 @@ class E2LSHoSIndex:
         (as must anything else that writes to the store): every
         unfinished replay first becomes the live body — a fresh
         :meth:`_run_query` on the trace's own plan row, fast-forwarded
-        over the actions already yielded with payloads read from the
-        still-unchanged store — so an in-flight task keeps its old plan
-        and sees each request's bytes as of issue time, replayed or not.
+        over the segments already yielded with payloads read from the
+        still-unchanged store (the parked batch's is kept: the engine read
+        none) — so an in-flight task keeps its old plan and sees each
+        request's bytes as of issue time, replayed or not.
         """
         read_many = self.built.store.read_many
         for replay in self._replays:
             memo = replay.memo
-            assert memo.actions is not None  # replays exist only for finished recordings
+            assert memo.segments is not None  # replays exist only for finished recordings
             live = replay.live = self._run_query(memo, replay.id_map)
             payload = None
-            for action in memo.actions[: replay.position]:
-                if live.send(payload) != action:
-                    raise RuntimeError("the store changed before its query caches were invalidated")
-                payload = None
-                if type(action) is ReadBatch:
-                    payload = read_many(action.requests)
+            for segment in memo.segments[: replay.position]:
+                for action in segment.expand():
+                    if live.send(payload) != action:
+                        raise RuntimeError("store written before its query caches were invalidated")
+                    payload = read_many(action.requests) if type(action) is ReadBatch else None
+            replay.payload = payload
         self._cache_info["converted"] += len(self._replays)
         self._replays.clear()
         self._rung_lookups.clear()
@@ -402,8 +407,8 @@ class E2LSHoSIndex:
                 fresh_rows.append(row)
             elif entry.answer is not None:
                 how = "replayed"
-            elif entry.actions is None:
-                entry.actions, how = [], "recorded"
+            elif entry.segments is None:
+                entry.segments, how = [], "recorded"
             info[how] += 1
             if how == "replayed":
                 replay = _Replay(entry, id_map)
@@ -448,23 +453,23 @@ class E2LSHoSIndex:
         return lookup
 
     def _replay(self, replay: _Replay) -> Task:
-        """Yield a recorded trace, ignoring the payloads sent back: only
-        host work is skipped, the engine books every action as it would
-        the live body's.  Once ``invalidate_query_caches`` has parked the
-        live body at this position, the rest is delegated to it."""
+        """Yield a recorded trace, one resumption per I/O wait: only host
+        work is skipped, the engine books every segment as it would the
+        live body's actions.  Once ``invalidate_query_caches`` has parked
+        the live body at this position, the rest is delegated to it."""
         memo = replay.memo
-        assert memo.actions is not None and memo.answer is not None
-        payload = None
-        for action in memo.actions:
+        assert memo.segments is not None and memo.answer is not None
+        for segment in memo.segments:
             if replay.live is not None:
                 break
             replay.position += 1
-            payload = yield action
+            yield segment
         live = replay.live
         if live is None:
             del self._replays[replay]
             ids, distances, stats = memo.answer
             return _answer(ids, distances, stats.copy(), replay.id_map)
+        payload = replay.payload
         try:
             while True:
                 payload = yield live.send(payload)
@@ -475,20 +480,28 @@ class E2LSHoSIndex:
         """The live body in local ids, keeping what it yields and returns
         in ``memo`` for :meth:`_replay`."""
         live = self._run_query(memo, None)
-        actions, payload = memo.actions, None
-        assert actions is not None  # the list ``query_tasks`` left for this task
+        segments, payload = memo.segments, None
+        assert segments is not None  # the list ``query_tasks`` left for this task
+        durations: list[float] = []
         try:
             while True:
-                actions.append(live.send(payload))
-                payload = yield actions[-1]
+                action = live.send(payload)
+                if isinstance(action, Compute):
+                    durations.append(action.duration_ns)
+                else:  # the ReadBatch this stretch waits on
+                    segments.append(Segment(tuple(durations), action.requests))
+                    durations = []
+                payload = yield action
         except StopIteration as stop:
             answer: QueryAnswer = stop.value
+        if durations:
+            segments.append(Segment(tuple(durations), ()))
         # Shared with every replay from here on, hence read-only.
         answer.ids.flags.writeable = answer.distances.flags.writeable = False
         memo.answer = (answer.ids, answer.distances, answer.stats.copy())
         return _answer(answer.ids, answer.distances, answer.stats, id_map)
 
-    def _run_query(self, memo: _Memo, id_map: np.ndarray | None) -> Task:
+    def _run_query(self, memo: _Memo, id_map: np.ndarray | None) -> _LiveTask:
         """The data plane of one query task (Figure 10), and its only
         implementation: first sight, what :meth:`_record` records, and
         the body an interrupted :meth:`_replay` falls back to."""
@@ -678,21 +691,23 @@ class E2LSHoSIndex:
                     finish_times.append(clock)
                     break
                 send_value = None
-                if isinstance(action, Compute):
-                    clock += action.duration_ns
-                    compute_ns += action.duration_ns
-                elif isinstance(action, Read):
-                    send_value, clock = cache.read(clock, action.address, action.length)
-                    io_count += 1
-                elif isinstance(action, ReadBatch):
-                    payload = []
-                    for address, length in action.requests:
-                        data, clock = cache.read(clock, address, length)
-                        payload.append(data)
-                    io_count += len(action.requests)
-                    send_value = payload
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unsupported action {action!r}")
+                # The page cache has to see a replayed segment's requests too.
+                for plain in action.expand() if isinstance(action, Segment) else (action,):
+                    if isinstance(plain, Compute):
+                        clock += plain.duration_ns
+                        compute_ns += plain.duration_ns
+                    elif isinstance(plain, Read):
+                        send_value, clock = cache.read(clock, plain.address, plain.length)
+                        io_count += 1
+                    elif isinstance(plain, ReadBatch):
+                        payload = []
+                        for address, length in plain.requests:
+                            data, clock = cache.read(clock, address, length)
+                            payload.append(data)
+                        io_count += len(plain.requests)
+                        send_value = payload
+                    else:  # pragma: no cover - defensive
+                        raise TypeError(f"unsupported action {plain!r}")
         synthesized = EngineResult(
             makespan_ns=clock,
             results=list(answers),

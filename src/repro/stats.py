@@ -39,16 +39,20 @@ class OpCounts:
 
     def add(self, other: "OpCounts") -> None:
         """Accumulate ``other`` into ``self`` in place."""
-        for name in _OP_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.projection_scalar_ops += other.projection_scalar_ops
+        self.distance_scalar_ops += other.distance_scalar_ops
+        self.candidate_fetches += other.candidate_fetches
+        self.bucket_lookups += other.bucket_lookups
+        self.tree_node_visits += other.tree_node_visits
+        self.btree_entry_scans += other.btree_entry_scans
+        self.heap_ops += other.heap_ops
+        self.rounds += other.rounds
 
     def scaled(self, factor: float) -> "OpCounts":
         """Return a copy with every counter multiplied by ``factor``."""
         return OpCounts(**{name: int(getattr(self, name) * factor) for name in _OP_FIELDS})
 
 
-# Resolved once at import: ``dataclasses.fields`` is surprisingly hot when
-# ``add`` runs per simulated Compute step on the query path.
 _OP_FIELDS = tuple(f.name for f in fields(OpCounts))
 
 

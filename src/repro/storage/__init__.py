@@ -20,7 +20,7 @@ discrete-event model while keeping the *bytes* real:
 
 from repro.storage.blockstore import BlockStore, FileBlockStore, MemoryBlockStore
 from repro.storage.device import DeviceProfile, StorageDevice
-from repro.storage.engine import AsyncIOEngine, Compute, EngineResult, Read, ReadBatch
+from repro.storage.engine import AsyncIOEngine, Compute, EngineResult, Read, ReadBatch, Segment
 from repro.storage.interface import StorageInterface
 from repro.storage.page_cache import PageCache
 from repro.storage.profiles import (
@@ -45,6 +45,7 @@ __all__ = [
     "Read",
     "ReadBatch",
     "Compute",
+    "Segment",
     "PageCache",
     "DEVICE_PROFILES",
     "INTERFACE_PROFILES",

@@ -16,7 +16,9 @@ yield actions:
   Writes go through the same device volume as reads — compaction
   competes with queries for the same IOPS — but are counted separately
   (``write_count`` / ``write_bytes``), giving the query-vs-ingest I/O
-  split and the SSD-endurance write volume of the paper's Sec. 7.
+  split and the SSD-endurance write volume of the paper's Sec. 7,
+- ``Segment((...), (...))``: recorded ``Compute`` durations and the
+  ``ReadBatch`` that ends them, booked alike with nothing read or sent back.
 
 The engine multiplexes many tasks over one or more simulated CPU
 workers.  While one task waits for the device, the worker runs another
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Generator, Iterable, Sequence
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -50,6 +52,7 @@ __all__ = [
     "Write",
     "WriteBatch",
     "Compute",
+    "Segment",
     "Completion",
     "EngineResult",
     "EngineSession",
@@ -59,7 +62,7 @@ __all__ = [
 ]
 
 #: A query task: a generator yielding actions and finally returning a result.
-Task = Generator["Read | ReadBatch | Write | WriteBatch | Compute", Any, Any]
+Task = Generator["Read | ReadBatch | Write | WriteBatch | Compute | Segment", Any, Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +112,29 @@ class Compute:
     """Spend ``duration_ns`` of CPU time."""
 
     duration_ns: float
+
+
+@dataclass(frozen=True, slots=True)
+class Segment:
+    """What a recorded task did between two I/O waits, as timing only: its
+    ``Compute`` durations (kept apart: the engine's float sums take them one
+    by one), then the read batch it waited on, if any.  Spans are checked
+    here, so a replay holds only ``end``, their highest byte, against the store."""
+
+    durations_ns: tuple[float, ...]
+    requests: tuple[tuple[int, int], ...]
+    end: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if any(address < 0 or length <= 0 for address, length in self.requests):
+            raise ValueError(f"spans start at >= 0 and hold > 0 bytes, got {self.requests}")
+        object.__setattr__(self, "end", max((a + n for a, n in self.requests), default=0))
+
+    def expand(self) -> Iterator[Compute | ReadBatch]:
+        """The plain actions this segment stands for, in order."""
+        yield from map(Compute, self.durations_ns)
+        if self.requests:
+            yield ReadBatch(self.requests)
 
 
 @dataclass
@@ -387,9 +413,24 @@ class EngineSession:
                     profile.compute_ns += action.duration_ns
                 continue
 
-            is_write = False
-            if isinstance(action, Read):
-                requests: tuple[tuple[int, int], ...] = ((action.address, action.length),)
+            is_write = replayed = False
+            if isinstance(action, Segment):
+                # Spans first (read_many names the offender), then the clock.
+                requests: tuple[tuple[int, int], ...] = action.requests
+                if action.end > engine.store.size_bytes:
+                    engine.store.read_many(requests)
+                compute_ns = self.compute_ns
+                for duration_ns in action.durations_ns:
+                    compute_ns += duration_ns
+                    now += duration_ns
+                    if profile is not None:
+                        profile.compute_ns += duration_ns
+                self.compute_ns = compute_ns
+                if not requests:
+                    continue
+                replayed = True
+            elif isinstance(action, Read):
+                requests = ((action.address, action.length),)
             elif isinstance(action, ReadBatch):
                 requests = action.requests
                 if not requests:
@@ -415,7 +456,7 @@ class EngineSession:
             # lengths checked, before any device, clock or counter
             # moves: a bad batch books nothing.
             overhead_ns = interface.cpu_overhead_ns
-            payload: Any = None if is_write else engine.store.read_many(requests)
+            payload: Any = None if is_write or replayed else engine.store.read_many(requests)
             now, self.io_cpu_ns, done_ns = engine.volume.submit_batch(
                 now, self.io_cpu_ns, overhead_ns, requests
             )
@@ -507,7 +548,6 @@ class AsyncIOEngine:
         workers, so storage saturation limits all of them collectively.
         """
         session = self.session(workers=workers)
-        for task in tasks:
-            session.submit(task)
+        session.submit_batch(tasks)
         session.drain()
         return session.result()

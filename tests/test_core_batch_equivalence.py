@@ -18,7 +18,7 @@ from repro.core.e2lshos import E2LSHoSIndex
 from repro.core.params import E2LSHParams
 from repro.core.radii import RadiusLadder
 from repro.storage.blockstore import MemoryBlockStore
-from repro.storage.engine import AsyncIOEngine, Compute, Read, ReadBatch
+from repro.storage.engine import AsyncIOEngine, Compute, Read, ReadBatch, Segment
 from repro.storage.profiles import INTERFACE_PROFILES, make_volume
 
 
@@ -55,14 +55,18 @@ def drain(index, task):
         except StopIteration as stop:
             return actions, stop.value
         sent = None
-        if isinstance(action, Compute):
-            actions.append(("compute", action.duration_ns))
-        elif isinstance(action, ReadBatch):
-            actions.append(("read_batch", tuple(action.requests)))
-            sent = [store.read(addr, length) for addr, length in action.requests]
-        elif isinstance(action, Read):  # pragma: no cover - path yields batches
-            actions.append(("read", action.address, action.length))
-            sent = store.read(action.address, action.length)
+        # A recurring query is replayed in segments; their plain actions are the stream.
+        for plain in action.expand() if isinstance(action, Segment) else (action,):
+            if isinstance(plain, Compute):
+                actions.append(("compute", plain.duration_ns))
+            elif isinstance(plain, ReadBatch):
+                actions.append(("read_batch", tuple(plain.requests)))
+                sent = [store.read(addr, length) for addr, length in plain.requests]
+            elif isinstance(plain, Read):  # pragma: no cover - path yields batches
+                actions.append(("read", plain.address, plain.length))
+                sent = store.read(plain.address, plain.length)
+            else:  # pragma: no cover - an action this walk was never taught
+                raise TypeError(f"unsupported action {plain!r}")
 
 
 @pytest.mark.parametrize("k,stop_k", [(1, None), (5, None), (10, 2), (3, 8)])

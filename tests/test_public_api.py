@@ -117,3 +117,81 @@ def test_the_one_request_forms_the_benchmark_spans_stay_public():
         (bucket, ("decode_block", "decode_blocks")),
     ):
         assert all(callable(vars(owner)[name]) for name in names), owner
+
+
+# -- every action has an interpreter ---------------------------------------------
+#
+# Tasks talk to two interpreters: ``EngineSession.step`` and the blocking
+# page-cache walk of ``E2LSHoSIndex.run(mode="mmap_sync")``.  An action one of
+# them does not know is a ``TypeError`` in the middle of a run.
+
+
+def _actions():
+    """``{exported action class: an instance that fits a 4 KiB store}``."""
+    import typing
+
+    import repro.storage.engine as engine
+
+    examples = {
+        engine.Compute: engine.Compute(120.0),
+        engine.Read: engine.Read(512, 8),
+        engine.ReadBatch: engine.ReadBatch([(0, 512), (1024, 8)]),
+        engine.Write: engine.Write(512, 512),
+        engine.WriteBatch: engine.WriteBatch([(0, 512), (2048, 512)]),
+        engine.Segment: engine.Segment((120.0, 30.0), ((0, 512), (1024, 8))),
+    }
+    not_actions = {"Completion", "EngineResult", "EngineSession", "AsyncIOEngine", "TaskProfile"}
+    exported = {
+        vars(engine)[name]
+        for name in engine.__all__
+        if isinstance(vars(engine)[name], type) and name not in not_actions
+    }
+    # A class added to ``__all__`` is an action until it is listed above,
+    # and the ``Task`` alias names exactly the actions.
+    assert exported == set(examples)
+    (yields, _, _) = typing.get_args(engine.Task)
+    union = eval(getattr(yields, "__forward_arg__", yields), vars(engine))
+    assert set(typing.get_args(union)) == exported
+    return examples
+
+
+def test_every_exported_action_is_accepted_by_both_interpreters():
+    import numpy as np
+
+    import repro.storage as storage
+    from repro.core.e2lshos import E2LSHoSIndex
+    from repro.core.params import E2LSHParams
+    from repro.storage.engine import Write, WriteBatch
+    from repro.storage.profiles import INTERFACE_PROFILES, make_engine, make_volume
+
+    def task(action):
+        sent = yield action
+        return sent
+
+    store = storage.MemoryBlockStore()
+    store.allocate(4096)
+    data = np.random.default_rng(0).normal(size=(64, 4)).astype(np.float32)
+    index = E2LSHoSIndex.build(data, E2LSHParams(n=64), store=storage.MemoryBlockStore())
+    for kind, action in _actions().items():
+        assert getattr(storage, kind.__name__, kind) is kind
+        for interface in ("io_uring", "mmap_sync"):
+            result = make_engine(store, interface=interface).run([task(action)])
+            assert result.makespan_ns > 0, kind
+        # The page-cache walk drives whatever ``query_tasks`` plans.
+        cache = storage.PageCache(
+            volume=make_volume("cssd", 1),
+            store=store,
+            interface=INTERFACE_PROFILES["mmap_sync"],
+            capacity_bytes=1 << 16,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index, "query_tasks", lambda queries, k, action=action: [task(action)])
+            if kind in (Write, WriteBatch):  # query tasks only read; the cache models no writes
+                with pytest.raises(TypeError, match="unsupported action"):
+                    index.run(data[:1], mode="mmap_sync", cache=cache)
+                continue
+            walked = index.run(data[:1], mode="mmap_sync", cache=cache).engine
+        assert walked.makespan_ns > 0, kind
+        # Timing only or not, the cache sees every request.
+        requests = 1 if kind is storage.Read else len(getattr(action, "requests", ()))
+        assert walked.io_count == requests, kind

@@ -49,7 +49,15 @@ from repro.layout.bucket import NULL_ADDRESS, decode_block
 from repro.serving.replication import TimelineDevice
 from repro.storage.blockstore import MemoryBlockStore
 from repro.storage.device import StorageDevice
-from repro.storage.engine import AsyncIOEngine, Compute, Read, ReadBatch, Write, WriteBatch
+from repro.storage.engine import (
+    AsyncIOEngine,
+    Compute,
+    Read,
+    ReadBatch,
+    Segment,
+    Write,
+    WriteBatch,
+)
 from repro.storage.interface import StorageInterface
 from repro.storage.profiles import DEVICE_PROFILES, INTERFACE_PROFILES
 from repro.storage.raid import StripedVolume
@@ -444,11 +452,13 @@ def test_per_device_runs_equal_request_order_booking_on_a_striped_volume():
 STORE_BYTES = 64 * 512
 
 
-def mixed_task(rng, store_bytes=STORE_BYTES):
-    """A task of every action kind, returning a digest of what it was sent."""
+def mixed_task(rng, plain=False, store_bytes=STORE_BYTES):
+    """A task of every action kind, returning a digest of what it was sent;
+    ``plain`` yields a ``Segment`` as the actions it stands for (the
+    reference engine predates it) and drops their payloads."""
     steps = []
     for _ in range(int(rng.integers(1, 12))):
-        kind = int(rng.integers(0, 7))
+        kind = int(rng.integers(0, 9))
         spans = [
             (int(rng.integers(0, store_bytes - 600)), int(rng.choice([8, 512, 100])))
             for _ in range(int(rng.integers(1, 9)))
@@ -463,13 +473,21 @@ def mixed_task(rng, store_bytes=STORE_BYTES):
             steps.append(ReadBatch(spans))
         elif kind == 5:
             steps.append(WriteBatch(spans))
+        elif kind in (7, 8):
+            durations = tuple(rng.uniform(10.0, 5000.0, int(rng.integers(0, 5))).tolist())
+            steps.append(Segment(durations, tuple(spans) if kind == 7 or not durations else ()))
         else:
             steps.append(rng.choice([ReadBatch([]), WriteBatch([])]))
 
     def task():
         seen = []
         for step in steps:
-            seen.append((yield step))
+            if plain and isinstance(step, Segment):
+                for action in step.expand():
+                    yield action
+                seen.append(None)
+            else:
+                seen.append((yield step))
         return seen
 
     return task()
@@ -483,13 +501,13 @@ def test_mixed_actions_step_for_step(workers, interface, profile_tasks):
     store.allocate(STORE_BYTES)
     store.write(0, np.random.default_rng(1).bytes(STORE_BYTES))
     outcomes = []
-    for engine in engines(store, count=3, interface=interface, profile=TINY):
+    for plain, engine in enumerate(engines(store, count=3, interface=interface, profile=TINY)):
         rng = np.random.default_rng(17)
         session = engine.session(workers=workers, profile_tasks=profile_tasks)
         for wave in range(30):
             ready_ns = wave * 40_000.0
-            session.submit(mixed_task(rng), ready_ns, tag=("one", wave))
-            tasks = [mixed_task(rng) for _ in range(int(rng.integers(1, 6)))]
+            session.submit(mixed_task(rng, plain), ready_ns, tag=("one", wave))
+            tasks = [mixed_task(rng, plain) for _ in range(int(rng.integers(1, 6)))]
             session.submit_batch(tasks, ready_ns + 1000.0, tags=list(range(len(tasks))))
         completions = []
         while session.has_work:

@@ -17,6 +17,11 @@ Everything compared must be *equal*: completion order and times, ids,
 distance bits, every ``QueryStats`` / ``OpCounts`` field, every engine
 counter, and (catalog) report, trace and answers byte for byte.  Every
 case also asserts on ``query_cache_info()`` so none passes vacuously.
+
+A replay yields its trace one ``Segment`` per I/O wait; the spy notes a
+segment as the plain actions it stands for, so "yielded actions" still
+compare one for one with the live body's, and keeps where each
+resumption ended beside them.
 """
 
 import copy
@@ -29,6 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_query_oracle import engine_state
 from test_serving_vectorized import run_traced, trace_dump
 
 import repro.core.e2lshos as e2lshos
@@ -36,7 +42,7 @@ from repro.core.e2lshos import E2LSHoSIndex
 from repro.core.params import E2LSHParams
 from repro.core.updates import IndexUpdater
 from repro.storage.blockstore import MemoryBlockStore
-from repro.storage.engine import ReadBatch
+from repro.storage.engine import Compute, ReadBatch, Segment
 from repro.storage.page_cache import PageCache
 from repro.storage.profiles import INTERFACE_PROFILES, make_engine, make_volume
 
@@ -107,15 +113,18 @@ def fresh_index():
     return copy.deepcopy(base()[2])
 
 
-def spy(task, seen):
-    """Pass ``task`` through, noting every action it yields in ``seen``."""
+def spy(task, seen, resumed):
+    """Pass ``task`` through, noting every action it yields in ``seen`` — a
+    ``Segment`` as its plain actions — and in ``resumed`` how many actions
+    it had yielded each time it gave up control."""
     value = None
     while True:
         try:
             action = task.send(value)
         except StopIteration as stop:
             return stop.value
-        seen.append(action)
+        seen.extend(action.expand() if isinstance(action, Segment) else [action])
+        resumed.append(len(seen))
         value = yield action
 
 
@@ -142,20 +151,23 @@ class Drive:
     info: dict = dataclasses.field(default_factory=dict)
     #: Per task, in submission order: (pool row, created as a replay?).
     tasks: list = dataclasses.field(default_factory=list)
-    #: Per task: every action it yielded.
+    #: Per task: every action it yielded, segments as their plain actions.
     yielded: list = dataclasses.field(default_factory=list)
+    #: Per task: ``len(yielded)`` after each of its resumptions.
+    resumed: list = dataclasses.field(default_factory=list)
     #: After each step: (actions yielded so far per task created so far,
     #: indices of the tasks that have finished).
     progress: list = dataclasses.field(default_factory=list)
 
 
-def drive(index, stream, mutations=None):
+def drive(index, stream, mutations=None, interface="io_uring", profile_tasks=False):
     """Run ``stream`` — waves of ``(ready_ns, pool rows, variant)`` — on one
     session, planning each wave when it falls due and resuming one task per
     ``step()``; ``mutations`` maps a step count to the maintenance applied
     right after that step."""
     pool = base()[1]
-    session = make_engine(index.built.store).session(workers=2)
+    engine = make_engine(index.built.store, interface=interface)
+    session = engine.session(workers=2, profile_tasks=profile_tasks)
     updater = IndexUpdater(index)
     waves = sorted(stream, key=lambda wave: wave[0])
     out = Drive()
@@ -171,7 +183,8 @@ def drive(index, stream, mutations=None):
             for row, task in zip(rows, tasks):
                 out.tasks.append((row, task.__name__ == "_replay"))
                 out.yielded.append([])
-                spies.append(spy(task, out.yielded[-1]))
+                out.resumed.append([])
+                spies.append(spy(task, out.yielded[-1], out.resumed[-1]))
             session.submit_batch(spies, ready_ns=ready_ns, tags=[(variant, row) for row in rows])
             continue
         done = session.step()
@@ -187,6 +200,7 @@ def drive(index, stream, mutations=None):
                     answer.ids.tolist(),
                     answer.distances.tobytes(),
                     dataclasses.asdict(answer.stats),
+                    done.profile and dataclasses.asdict(done.profile),
                 )
             )
         out.progress.append(([len(seen) for seen in out.yielded], frozenset(finished)))
@@ -256,6 +270,36 @@ def test_seeded_streams_replay_bit_identically():
         assert_same_run(got, want)
         assert got.info["recorded"] >= 4 and got.info["replayed"] >= 10, got.info
         assert got.info["converted"] == 0
+        # A replay gives up control once per I/O wait and once more for the
+        # scoring after its last one; the live body once per action.
+        for (_, replay), actions, resumed in zip(got.tasks, got.yielded, got.resumed):
+            waits = [at for at, action in enumerate(actions, 1) if isinstance(action, ReadBatch)]
+            if replay and isinstance(actions[-1], Compute):
+                waits.append(len(actions))
+            assert resumed == (waits if replay else list(range(1, len(actions) + 1)))
+
+
+@pytest.mark.parametrize(
+    "interface, profile_tasks", [("mmap_sync", False), ("io_uring", True), ("mmap_sync", True)]
+)
+def test_replay_equals_live_on_a_blocking_interface_and_with_task_profiles(
+    interface, profile_tasks
+):
+    """A segment's durations, requests and wait land in ``stall_ns`` and in
+    the task's profile one by one, as the live body's actions do."""
+    stream = seeded_stream(2)
+    got = drive(fresh_index(), stream, interface=interface, profile_tasks=profile_tasks)
+    with never_replay():
+        want = drive(fresh_index(), stream, interface=interface, profile_tasks=profile_tasks)
+    assert_same_run(got, want)  # completions carry every profile field
+    assert got.info["replayed"] >= 10, got.info
+    assert (got.engine["stall_ns"] > 0) == (interface == "mmap_sync")
+    for _, _, finish_ns, *_, profile in got.completions:
+        assert (profile is not None) == profile_tasks
+        if profile_tasks:
+            accounted = profile["compute_ns"] + profile["io_cpu_ns"] + profile["io_wait_ns"]
+            assert finish_ns - profile["start_ns"] == pytest.approx(accounted, rel=1e-12)
+            assert profile["io_count"] > 0 and profile["parked_ns"] is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -276,20 +320,24 @@ def test_streams_replay_bit_identically(stream):
 
 def parked_replay(dry, state):
     """(step, task): after ``step`` steps of the dry run, replay ``task`` is
-    ``"unstarted"`` (created, never resumed), ``"after-last"`` (it has
-    yielded its last action and not finished) or ``"mid-trace"`` — there
-    with reads both behind it, whose payloads a fast-forward must supply,
-    and ahead of it, which will see the store as it then is."""
+    ``"unstarted"`` (created, never resumed), ``"after-last"`` (parked on
+    the batch of its last segment: the trace ends there) or ``"mid-trace"``
+    — parked on a segment's batch, whose payload the engine never read,
+    with segments both behind it, whose payloads a fast-forward must
+    supply as well, and ahead of it, which will see the store as it then
+    is."""
     for step, (counts, finished) in enumerate(dry.progress, start=1):
         for task, count in enumerate(counts):
             if not dry.tasks[task][1] or task in finished:
                 continue
-            behind, ahead = dry.yielded[task][: count - 1], dry.yielded[task][count:]
+            waits = [isinstance(action, ReadBatch) for action in dry.yielded[task]]
+            # A replay parks nowhere but on the batch that ends a segment.
+            assert count == 0 or (waits[count - 1] and count in dry.resumed[task])
             if count == 0:
                 found = "unstarted"
-            elif not ahead:
+            elif count == len(waits):
                 found = "after-last"
-            elif all(any(isinstance(a, ReadBatch) for a in part) for part in (behind, ahead)):
+            elif any(waits[: count - 1]) and any(waits[count:]):
                 found = "mid-trace"
             else:
                 continue
@@ -316,7 +364,7 @@ def test_a_parked_replay_becomes_the_live_body(state):
     # everything it will see; the others must notice the maintenance.
     before = next(c for c in dry.completions if c[0] == task)
     after = next(c for c in got.completions if c[0] == task)
-    assert (before[4:] == after[4:]) == (state == "after-last")
+    assert (before[4:7] == after[4:7]) == (state == "after-last")
 
 
 #: (when, as a fraction of the undisturbed run's steps; what) — an insert
@@ -364,7 +412,87 @@ def test_the_hook_must_come_before_the_write(monkeypatch):
         drive(fresh_index(), stream, {step: [("insert", dry.tasks[task][0])]})
 
 
-# -- (3) the serving catalog ----------------------------------------------------------
+def test_a_replay_converted_on_its_last_batch_returns_the_live_answer():
+    """The engine reads nothing for a replayed batch, so the payload of the
+    one a replay is parked on comes from the conversion — here the batch the
+    corner query's trace ends with, the only thing its live body still needs."""
+    corner = POOL - 1
+    stream = [(wave * 1e7, (corner,), 1) for wave in range(3)]  # first sight, recorded, replayed
+    dry = drive(fresh_index(), stream)
+    assert dry.tasks == [(corner, False), (corner, False), (corner, True)]
+    assert isinstance(dry.yielded[2][-1], ReadBatch)
+    step, task = parked_replay(dry, "after-last")
+    mutations = {step: [("insert", corner)]}
+    got = drive(fresh_index(), stream, mutations)
+    with never_replay():
+        want = drive(fresh_index(), stream, mutations)
+    assert_same_run(got, want)
+    assert task == 2 and got.info["converted"] == 1, got.info
+    assert got.completions[2][4:7] == dry.completions[2][4:7]  # it had read everything already
+
+
+# -- (3) a segment the store cannot serve ----------------------------------------------
+
+
+def task_of(*actions):
+    for action in actions:
+        yield action
+
+
+def booked(session):
+    """Devices' statistics and rings, every engine counter, the workers' clocks."""
+    return engine_state(session), session._worker_free[:]
+
+
+def settled_session(store):
+    """A session that has run one good batch, and its makespan."""
+    session = make_engine(store, count=2).session(profile_tasks=True)
+    session.submit(task_of(Compute(100.0), ReadBatch([(0, 512), (512, 512)])))
+    session.drain()
+    return session, session.result().makespan_ns
+
+
+def test_a_segment_past_the_store_books_nothing_and_names_the_request():
+    store = MemoryBlockStore()
+    store.allocate(4096)
+    session, makespan_ns = settled_session(store)
+    before = booked(session)
+    segment = Segment((100.0, 50.0), ((0, 512), (8192, 512), (512, 512)))
+    assert segment.end == 8704
+    session.submit(task_of(segment), ready_ns=makespan_ns)
+    with pytest.raises(ValueError, match=r"request 1 of the batch: span \[8192, 8704\) outside"):
+        session.drain()
+    # Not even its durations ran: clock, counters, DeviceStats and rings are untouched.
+    assert booked(session) == before
+    # Store and session are as usable as before; a segment that fits is booked.
+    assert store.allocate(512) == 4096
+    session.submit(task_of(Segment((100.0, 50.0), ((0, 512), (4096, 512)))))
+    session.drain()
+    assert session.io_count == 4 and session.compute_ns == 250.0
+    # What no store could serve is refused when the segment is made.
+    for bad in (((0, 0),), ((0, 512), (-8, 16)), ((512, -512),)):
+        with pytest.raises(ValueError, match="spans start at >= 0 and hold > 0 bytes, got"):
+            Segment((1.0,), bad)
+
+
+def test_a_trace_is_not_booked_on_an_engine_over_a_smaller_store():
+    index = fresh_index()
+    for _ in range(2):  # first sight, recorded
+        run_once(index, 0, mapped=False)
+    replay = index.query_task(base()[1][0], k=3)
+    assert replay.__name__ == "_replay"
+    small = MemoryBlockStore()
+    small.allocate(1024)
+    assert small.size_bytes < index.built.store.size_bytes
+    session, makespan_ns = settled_session(small)
+    before = booked(session)
+    session.submit(replay, ready_ns=makespan_ns)
+    with pytest.raises(ValueError, match=r"request \d+ of the batch: span .* region of 1024 bytes"):
+        session.drain()
+    assert booked(session) == before
+
+
+# -- (4) the serving catalog ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["steady-state", "steady-ingest", "compaction-stall-storm"])
@@ -390,7 +518,7 @@ def test_catalog_scenarios_equal_the_live_only_runs(name):
             assert answer.stats == other.answers[qid].stats
 
 
-# -- (4) the blocking page-cache walk ---------------------------------------------------
+# -- (5) the blocking page-cache walk ---------------------------------------------------
 
 
 def test_mmap_sync_runs_are_identical():
@@ -419,7 +547,7 @@ def test_mmap_sync_runs_are_identical():
                 assert getattr(first.engine, field.name) == getattr(other.engine, field.name)
 
 
-# -- (5) what a replay shares with the memo ---------------------------------------------
+# -- (6) what a replay shares with the memo ---------------------------------------------
 
 
 def run_once(index, row, mapped):

@@ -191,6 +191,25 @@ def test_session_batch_equivalence_with_run():
     assert incremental.finish_times_ns == pytest.approx(batch.finish_times_ns)
 
 
+def test_run_is_one_wave_with_the_schedule_of_one_submit_each(monkeypatch):
+    def tasks():
+        return [reader_task([(i + j) * 512 for i in range(5)]) for j in range(7)] + [
+            compute_task(900.0)
+        ]
+
+    engine, _ = make_engine(count=2)
+    session = engine.session(workers=3)
+    for task in tasks():
+        session.submit(task)
+    session.drain()
+    serial = session.result()
+    engine2, _ = make_engine(count=2)
+    monkeypatch.setattr(EngineSession, "submit", None)  # run() does not go task by task
+    batch = engine2.run(tasks(), workers=3)
+    assert batch == serial  # results in order, finish times, counters, device stats
+    assert engine2.run([]).makespan_ns == 0.0
+
+
 def test_session_respects_ready_time():
     engine, _ = make_engine()
     session = engine.session()
