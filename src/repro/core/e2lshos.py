@@ -22,6 +22,7 @@ memory-mapped baseline of Sec. 6.5.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Generator, Sequence
 
 import numpy as np
@@ -49,6 +50,16 @@ _LiveTask = Generator[Compute | ReadBatch, Any, QueryAnswer]
 #: Upper bound on memoized queries; cleared wholesale when exceeded
 #: (service query pools are far smaller, so this never churns).
 _PLAN_CACHE_CAP = 4096
+#: Fresh rows from which a wave's data plane is traced at plan time
+#: (:meth:`E2LSHoSIndex._trace_rows`) instead of run row by row.  Measured
+#: host cost per query, plan + engine, live -> traced by wave size (n=20,000,
+#: L=24, min of 9 alternating runs): B=1 870 -> 1,566 us, 4: 505 -> 653,
+#: 8: 447 -> 465, 16: 356 -> 333, 64: 310 -> 242, >=256: ~305 -> ~233.  The
+#: serving stack plans at ``max_batch`` 8, mostly recurring rows: tracing
+#: every wave cost ``serve-ingest`` 21 % (746 -> 589 ops/s), so the line is above.
+_TRACE_MIN_WAVE = 16
+#: Seen-bitmap cells (rows x objects) of one traced batch: bounds a trace's scratch memory.
+_TRACE_BITMAP_CELLS = 1 << 22
 
 
 @dataclass
@@ -104,9 +115,13 @@ class _RungLookup:
         if keys.size == 0:
             return np.zeros(hash_values.shape, dtype=bool)
         probes = (self._shifts[None, :] | hash_values.astype(np.uint64)).ravel()
+        # Sorted probes walk the keys front to back (98k probes: 20 -> 5.7 ms); few gain nothing.
+        order: np.ndarray | slice = np.argsort(probes) if probes.size > 256 else slice(None)
+        probes = probes[order]
         pos = np.searchsorted(keys, probes)
         clamped = np.minimum(pos, keys.size - 1)
-        hit = (keys[clamped] == probes) & (pos < keys.size)
+        hit = np.empty(probes.size, dtype=bool)
+        hit[order] = (keys[clamped] == probes) & (pos < keys.size)
         return hit.reshape(hash_values.shape)
 
 
@@ -157,10 +172,10 @@ class _WavePlan:
 
 class _Memo:
     """What the index keeps per ``(query bytes, k, stop_k)``: the hash-plan
-    row from first sight; from the first recurrence also the task's data
-    plane — what the live body yielded, a ``Segment`` per I/O wait, and its
-    answer in local ids — replayed while the store is unchanged.  ``answer``
-    is set when the recording finishes; partial ``segments`` never replay."""
+    row from first sight; from the first recurrence (a traced wave: from first
+    sight) also the task's data plane — what the live body yields, a ``Segment``
+    per I/O wait, and its answer in local ids — replayed while the store is
+    unchanged.  ``answer`` is set last; partial ``segments`` never replay."""
 
     __slots__ = ("plan", "row", "k", "stop_k", "segments", "answer")
 
@@ -182,6 +197,10 @@ class _Replay:
         self.position = 0
         self.live: Task | None = None
         self.payload: list[bytes] | None = None
+
+
+def _stray_id(address: int, object_id: int, n: int) -> ValueError:
+    return ValueError(f"block at {address} holds object id {object_id}; the index has {n} objects")
 
 
 def _answer(
@@ -220,7 +239,7 @@ class E2LSHoSIndex:
         self._memo: dict[tuple[bytes, int, int], _Memo] = {}
         #: Unfinished replays in creation order (a dict as an ordered set).
         self._replays: dict[_Replay, None] = {}
-        self._cache_info = {"live": 0, "recorded": 0, "replayed": 0, "converted": 0}
+        self._cache_info = {"live": 0, "recorded": 0, "traced": 0, "replayed": 0, "converted": 0}
         # The projection, per-rung hashing, and occupancy-filter Compute
         # steps are query-independent: one (immutable) action each,
         # yielded by every task and shared by every recorded trace.
@@ -319,10 +338,10 @@ class E2LSHoSIndex:
         self._memo.clear()
 
     def query_cache_info(self) -> dict[str, int]:
-        """Tasks created so far as ``live``, ``recorded`` (live, keeping
-        their trace) or ``replayed``, and replays ``converted`` to the live
-        body by an invalidation.  Kept out of every report: the split
-        depends on what the index served before the run."""
+        """Tasks created so far as ``live``, ``recorded`` (live, keeping their
+        trace), ``traced`` (replaying a trace made at plan time) or ``replayed``,
+        and replays of either kind ``converted`` to the live body by an
+        invalidation.  Kept out of every report: the split depends on the past."""
         return dict(self._cache_info)
 
     def maintenance_compute_ns(self, count: int) -> float:
@@ -360,7 +379,8 @@ class E2LSHoSIndex:
         :meth:`~repro.core.lsh.CompoundHashBank.project_rows`).  A
         ``(row, k, stop_k)`` seen before is not planned again, and from
         its second recurrence not computed again either: the task replays
-        what the live body yielded and returned (:class:`_Memo`).
+        what the live body yielded and returned (:class:`_Memo`) — a wave of
+        ``_TRACE_MIN_WAVE`` new rows or more from first sight (:meth:`_trace_rows`).
 
         ``id_map`` remaps the answers' object IDs through a lookup table
         before each task returns — a shard answering on behalf of a
@@ -397,37 +417,44 @@ class E2LSHoSIndex:
         memo, info = self._memo, self._cache_info
         fresh: dict[tuple[bytes, int, int], _Memo] = {}
         fresh_rows: list[int] = []
-        tasks: list[Task] = []
+        planned: list[tuple[_Memo, bool]] = []  # per row: its entry, first sight?
         for row in range(queries.shape[0]):
             key = (queries[row].tobytes(), k, stop_k)
             entry = memo.get(key) or fresh.get(key)
-            how = "live"
+            first = entry is None
             if entry is None:
                 entry = fresh[key] = _Memo(len(fresh_rows), k, stop_k)
                 fresh_rows.append(row)
-            elif entry.answer is not None:
-                how = "replayed"
-            elif entry.segments is None:
-                entry.segments, how = [], "recorded"
-            info[how] += 1
-            if how == "replayed":
-                replay = _Replay(entry, id_map)
-                self._replays[replay] = None
-                tasks.append(self._replay(replay))
-            elif how == "recorded":
-                tasks.append(self._record(entry, id_map))
-            else:
-                tasks.append(self._run_query(entry, id_map))
+            planned.append((entry, first))
         if fresh_rows:
             if len(fresh_rows) < queries.shape[0]:
                 queries = np.ascontiguousarray(queries[fresh_rows])
-            # No task above has started yet, so none has missed its plan.
             wave = _WavePlan(self, queries)
-            for entry in fresh.values():
+            entries = list(fresh.values())
+            for entry in entries:
                 entry.plan = wave
+            if len(entries) >= _TRACE_MIN_WAVE:
+                # Computed here, a bounded batch of rows at a time, then only replayed.
+                step = max(1, _TRACE_BITMAP_CELLS // self.data.shape[0])
+                for lo in range(0, len(entries), step):
+                    self._trace_rows(wave, entries[lo : lo + step])
             if len(memo) + len(fresh) > _PLAN_CACHE_CAP:
                 memo.clear()
             memo.update(fresh)
+        tasks: list[Task] = []
+        for entry, first in planned:
+            if entry.answer is not None:
+                info["traced" if first else "replayed"] += 1
+                replay = _Replay(entry, id_map)
+                self._replays[replay] = None
+                tasks.append(self._replay(replay))
+            elif first or entry.segments is not None:
+                info["live"] += 1
+                tasks.append(self._run_query(entry, id_map))
+            else:
+                entry.segments = []
+                info["recorded"] += 1
+                tasks.append(self._record(entry, id_map))
         return tasks
 
     def query_task(
@@ -579,8 +606,13 @@ class E2LSHoSIndex:
                     sizes = counts[per_block.cumsum() - per_block < budget].tolist()
                     stats.bucket_sizes_examined.extend(sizes)
                     stats.bucket_blocks_read += len(sizes)
-                    taken = ids.ravel()[mask.ravel().nonzero()[0][:budget]]
+                    at = mask.ravel().nonzero()[0][:budget]
+                    taken = ids.ravel()[at]
                     if taken.size:
+                        if taken.max() >= self.data.shape[0]:  # before anything is scored
+                            stray = int((taken >= self.data.shape[0]).argmax())
+                            address = int(pending[int(at[stray]) // ids.shape[1]])
+                            raise _stray_id(address, int(taken[stray]), self.data.shape[0])
                         collected.append(taken)
                         budget -= taken.size
                     chained = nexts != NULL_ADDRESS
@@ -631,6 +663,137 @@ class E2LSHoSIndex:
         # An empty pool sorts to an empty answer of the same dtypes.
         order = np.argsort(pool_dists, kind="stable")[:k]
         return _answer(pool_ids[order], pool_dists[order], stats, id_map)
+
+    def _trace_rows(self, plan: _WavePlan, entries: list[_Memo]) -> None:
+        """The data plane of consecutive plan rows at once: the ``segments`` and
+        ``answer`` :meth:`_record` would leave in each entry had its row run
+        :meth:`_run_query` alone, found by walking the ladder once, every array
+        holding all rows' requests row-major (``owner`` says whose)."""
+        built, machine, data = self.built, self.machine, self.data
+        params, codec, store = built.params, built.codec, built.store
+        block_size, (n, d) = built.block_size, data.shape
+        lo, size, k, stop_k = entries[0].row, len(entries), entries[0].k, entries[0].stop_k
+        queries64 = plan.queries[lo : lo + size].astype(np.float64)
+        per_rung = (self._rung_compute.duration_ns, self._filter_compute.duration_ns)
+        stretch = [[self._proj_compute.duration_ns] for _ in entries]  # since the last wait
+        segments: list[list[Segment]] = [[] for _ in entries]
+        score_ns: dict[int, float] = {}
+        tally = rungs, ios, nonempty, blocks_read, checked = np.zeros((5, size), dtype=np.int64)
+        seen = np.zeros(size * n, dtype=bool)
+        empty = np.empty(0, dtype=np.int64)
+        sized = [(empty, empty)]  # (owner, count) of the examined blocks, round by round
+        pool_owner, pool_ids, pool_dists = empty, empty, np.empty(0, dtype=np.float64)
+
+        def wait(owner: np.ndarray, addresses: np.ndarray, length: int) -> None:
+            """Cut a segment for every row with a request in this batch."""
+            counts = np.bincount(owner, minlength=size)
+            np.add(ios, counts, out=ios)  # (``+=`` would rebind a closure variable)
+            requests, at = list(zip(addresses.tolist(), repeat(length))), 0
+            rows = counts.nonzero()[0]
+            for row, count in zip(rows.tolist(), counts[rows].tolist()):
+                segments[row].append(Segment(tuple(stretch[row]), tuple(requests[at : at + count])))
+                stretch[row].clear()
+                at += count
+
+        active = np.arange(size)
+        for rung_index, radius in enumerate(built.ladder):
+            rungs[active] += 1
+            for row in active.tolist():
+                stretch[row] += per_rung
+            _, _, fingerprints, present, addresses, _ = plan.rung(rung_index, radius)
+            # Step 1: every slot of the rung, one gather.
+            probing, cols = present[active + lo].nonzero()
+            owner = active[probing]
+            probes = (owner + lo, cols)
+            slots = addresses[probes]
+            wait(owner, slots, SLOT_SIZE)
+            heads = store.read_matrix(slots, SLOT_SIZE).view("<u8")[:, 0]
+            chained = heads != NULL_ADDRESS
+            pending, owner, fps = heads[chained], owner[chained], fingerprints[probes][chained]
+            nonempty += np.bincount(owner, minlength=size)
+            # Step 2: chain rounds; a row out of budget drops out of the next.
+            budget = np.full(size, params.S, dtype=np.int64)
+            taken_keys = [empty]
+            while pending.size:
+                wait(owner, pending, block_size)
+                blocks = store.read_matrix(pending, block_size)
+                nexts, counts, ids, block_fps, valid = decode_blocks(codec, blocks, block_size)
+                mask = (block_fps == fps[:, None]) & valid
+                per_block = mask.sum(axis=1)
+                # Matches before each block *of its own row* (rows are runs of ``owner``).
+                before = per_block.cumsum() - per_block
+                row_base = before[np.searchsorted(owner, owner)]
+                examined = before - row_base < budget[owner]
+                blocks_read += np.bincount(owner[examined], minlength=size)
+                sized.append((owner[examined], counts[examined]))
+                hit_block, hit_entry = mask.nonzero()
+                keep = np.arange(hit_block.size) - row_base[hit_block] < budget[owner[hit_block]]
+                hit_block, hit_entry = hit_block[keep], hit_entry[keep]
+                taken, taker = ids[hit_block, hit_entry], owner[hit_block]
+                if taken.size and taken.max() >= n:
+                    stray = int((taken >= n).argmax())
+                    raise _stray_id(int(pending[hit_block[stray]]), int(taken[stray]), n)
+                taken_keys.append(taker * n + taken)
+                budget -= np.bincount(taker, minlength=size)
+                goes_on = (nexts != NULL_ADDRESS) & (budget[owner] > 0)
+                pending, owner, fps = nexts[goes_on], owner[goes_on], fps[goes_on]
+            # Step 3: per row the sorted-unique unseen candidates, as one
+            # sort of ``row * n + id`` keys against the batch's bitmap.
+            keys = np.sort(np.concatenate(taken_keys))
+            keys = keys[np.diff(keys, prepend=-1) != 0]  # unique (``np.unique`` hashes: 20x slower)
+            new = keys[~seen[keys]]
+            seen[new] = True
+            scorer, new_ids = np.divmod(new, n)
+            diffs = data[new_ids] - queries64[scorer]  # float32 - float64: cast, then subtracted
+            dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
+            scored = np.bincount(scorer, minlength=size)
+            checked += scored
+            rows = scored.nonzero()[0]
+            for row, count in zip(rows.tolist(), scored[rows].tolist()):
+                if count not in score_ns:
+                    step = OpCounts(candidate_fetches=count, distance_scalar_ops=count * d)
+                    score_ns[count] = machine.compute_ns(step)
+                stretch[row].append(score_ns[count])
+            pool_owner = np.concatenate([pool_owner, scorer])
+            pool_ids = np.concatenate([pool_ids, new_ids])
+            pool_dists = np.concatenate([pool_dists, dists])
+            within = np.bincount(pool_owner[pool_dists <= params.c * radius], minlength=size)
+            active = active[within[active] < stop_k]
+            if not active.size:
+                break
+
+        # Each row's k nearest of its pool, ties in pool order (rung, then id).
+        order = np.lexsort((pool_dists, pool_owner))
+        ranked = pool_owner[order]
+        order = order[np.arange(order.size) - np.searchsorted(ranked, ranked) < k]
+        top_ids, top_dists = pool_ids[order], pool_dists[order]
+        top_ids.flags.writeable = top_dists.flags.writeable = False  # shared with every replay
+        bounds = np.searchsorted(pool_owner[order], np.arange(size + 1)).tolist()
+        sized_owner, sized_count = map(np.concatenate, zip(*sized))
+        sizes = sized_count[np.argsort(sized_owner, kind="stable")].tolist()
+        ends = blocks_read.cumsum().tolist()
+        for row, (searched, issued, linked, read, fetched) in enumerate(tally.T.tolist()):
+            if stretch[row]:
+                segments[row].append(Segment(tuple(stretch[row]), ()))
+            stats = QueryStats(
+                ops=OpCounts(
+                    projection_scalar_ops=(d + searched) * params.L * params.m,
+                    distance_scalar_ops=fetched * d,
+                    candidate_fetches=fetched,
+                    bucket_lookups=searched * params.L,
+                    rounds=searched,
+                ),
+                rungs_searched=searched,
+                nonempty_buckets=linked,
+                buckets_probed=searched * params.L,
+                candidates_checked=fetched,
+                bucket_blocks_read=read,
+                ios_issued=issued,
+                bucket_sizes_examined=sizes[ends[row] - read : ends[row]],
+            )
+            at, end = bounds[row], bounds[row + 1]
+            entries[row].segments = segments[row]
+            entries[row].answer = (top_ids[at:end], top_dists[at:end], stats)
 
     # -- batch execution -------------------------------------------------------
 

@@ -116,16 +116,20 @@ def decode_block(codec: ObjectInfoCodec, raw: bytes) -> BucketBlock:
 
 
 def decode_blocks(
-    codec: ObjectInfoCodec, raws: Sequence[bytes], block_size: int
+    codec: ObjectInfoCodec, raws: Sequence[bytes] | np.ndarray, block_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a batch of ``block_size``-byte blocks in one pass.
+    """Parse a batch of ``block_size``-byte blocks — a list of them, or the
+    rows of a ``(B, block_size)`` uint8 matrix — in one pass.
 
     Returns ``(next_addresses, counts, object_ids, fingerprints, valid)``:
     the first two of shape ``(B,)``, the rest ``(B, width)`` with ``width``
     the largest count; ``valid[j, e]`` says entry ``e`` of block ``j`` is
     within its count (the others decode the block's padding).
     """
-    blocks = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), block_size)
+    if isinstance(raws, np.ndarray):
+        blocks = raws
+    else:
+        blocks = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), block_size)
     next_addresses = blocks[:, :8].view("<u8")[:, 0]
     counts = blocks[:, 8:10].view("<u2")[:, 0]
     width = int(counts.max(initial=0))
@@ -136,7 +140,7 @@ def decode_blocks(
             f"block {worst} of the batch claims {width} entries but is only {block_size} bytes"
         )
     object_ids, fingerprints = codec.unpack(blocks[:, BLOCK_HEADER_SIZE:end].tobytes())
-    shape = (len(raws), width)
+    shape = (len(blocks), width)
     valid = np.arange(width) < counts[:, None]
     return next_addresses, counts, object_ids.reshape(shape), fingerprints.reshape(shape), valid
 

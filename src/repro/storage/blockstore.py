@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["BlockStore", "MemoryBlockStore", "FileBlockStore"]
 
@@ -83,6 +86,25 @@ class BlockStore(ABC):
             out.append(self._read(address, nbytes))
         return out
 
+    def read_matrix(self, addresses: Sequence[int] | np.ndarray, nbytes: int) -> np.ndarray:
+        """:meth:`read_many` of equal-length spans as a ``(B, nbytes)`` uint8
+        matrix, one row per address; nothing is read if any span is bad."""
+        starts = self._check_spans(addresses, nbytes)
+        raw = b"".join(self._read(address, nbytes) for address in starts.tolist())
+        return np.frombuffer(raw, dtype=np.uint8).reshape(starts.size, nbytes)
+
+    def _check_spans(self, addresses: Sequence[int] | np.ndarray, nbytes: int) -> np.ndarray:
+        """``addresses`` as int64, the first bad span named by its position."""
+        if nbytes <= 0:
+            raise ValueError(f"request 0 of the batch: length must be positive, got {nbytes}")
+        # A uint64 address past 2**63 wraps negative here and is refused as well.
+        starts = np.asarray(addresses).astype(np.int64, copy=False)
+        bad = (starts < 0) | (starts > self._size - nbytes)
+        if bad.any():
+            position = int(bad.argmax())
+            self._check_span(int(starts[position]), nbytes, position)
+        return starts
+
     @abstractmethod
     def _grow_to(self, size: int) -> None: ...
 
@@ -121,6 +143,17 @@ class MemoryBlockStore(BlockStore):
             for position, (address, nbytes) in enumerate(requests):
                 check(address, nbytes, position)
                 out.append(view[address : address + nbytes].tobytes())
+        return out
+
+    def read_matrix(self, addresses: Sequence[int] | np.ndarray, nbytes: int) -> np.ndarray:
+        starts = self._check_spans(addresses, nbytes)
+        if not starts.size:
+            return np.empty((0, nbytes), dtype=np.uint8)
+        # One gather; the export goes with ``windows``, before the view is released.
+        with memoryview(self._buffer) as view:
+            windows = sliding_window_view(np.frombuffer(view, dtype=np.uint8), nbytes)
+            out = windows[starts]
+            del windows
         return out
 
 

@@ -12,7 +12,8 @@ took a ``ReadBatch`` / ``WriteBatch`` apart again:
 - ``E2LSHoSIndex._run_query`` decoded a chain batch block by block with
   ``decode_block`` and kept a running ``take`` against the budget
   (``ReferenceIndex._run_query``, verbatim but for the wave plan's tuple,
-  which has grown a sixth element the old body does not need).
+  which has grown a sixth element the old body does not need) — and every
+  row ran that body: ``ReferenceIndex`` plans no wave as a plan-time trace.
 
 ``tests/test_query_oracle.py`` holds the production tree to these: ids,
 distance bytes, every statistic, every yielded action, every completion
@@ -21,10 +22,13 @@ time.  Nothing under ``src/`` imports this module.
 
 import heapq
 import math
+import sys
 from typing import Any
+from unittest import mock
 
 import numpy as np
 
+import repro.core.e2lshos as e2lshos
 from repro.core.e2lshos import E2LSHoSIndex, _answer, _Memo
 from repro.layout.bucket import NULL_ADDRESS, decode_block
 from repro.layout.hash_table import SLOT_SIZE
@@ -225,7 +229,12 @@ class ReferenceEngine(AsyncIOEngine):
 
 
 class ReferenceIndex(E2LSHoSIndex):
-    """``E2LSHoSIndex`` filtering a chain batch one decoded block at a time."""
+    """``E2LSHoSIndex`` filtering a chain batch one decoded block at a time,
+    every row of every wave by itself."""
+
+    def query_tasks(self, queries, **kwargs):
+        with mock.patch.object(e2lshos, "_TRACE_MIN_WAVE", sys.maxsize):
+            return super().query_tasks(queries, **kwargs)
 
     def _run_query(self, memo: _Memo, id_map: np.ndarray | None) -> Task:
         """The data plane of one query task (Figure 10), and its only

@@ -12,6 +12,13 @@ loop.  Everything compared here must be *equal* — ids, distance bytes, every
 the payload sent back, ``EngineResult``, every completion time and every
 ``DeviceStats`` field.
 
+The production tree has two bodies for a query's data plane: ``_run_query``
+row by row, and from ``_TRACE_MIN_WAVE`` fresh rows on ``_trace_rows`` for a
+batch of rows in lockstep at plan time, its tasks yielding ``Segment``s.
+Every comparison of (a) runs under both (``BODIES``); the reference never
+traces.  The spy notes a segment as the plain actions it stands for and
+reads their payloads from the store, as the engine would have.
+
 (a) chain batches: twin indices on 31-byte blocks (three entries each, so
     chains run several rounds) over exact duplicates, every budget from 1 to
     past the last match, with the named budget cases witnessed;
@@ -27,6 +34,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,11 +49,13 @@ from reference_query import (
 from test_storage_device import TINY, _OracleDevice, _OracleTimelineDevice, _submission_stream
 from test_updates_oracle import chains
 
+import repro.core.e2lshos as e2lshos
 from repro.core.e2lshos import E2LSHoSIndex
 from repro.core.lsh import CompoundHashBank
 from repro.core.params import E2LSHParams
 from repro.core.updates import IndexUpdater
-from repro.layout.bucket import NULL_ADDRESS, decode_block
+from repro.layout.bucket import BLOCK_HEADER_SIZE, NULL_ADDRESS, decode_block
+from repro.layout.object_info import OBJECT_INFO_SIZE
 from repro.serving.replication import TimelineDevice
 from repro.storage.blockstore import MemoryBlockStore
 from repro.storage.device import StorageDevice
@@ -134,8 +144,13 @@ def engines(store, count=1, interface=INTERFACE_PROFILES["io_uring"], profile=CS
     )
 
 
-def spy(task, log):
-    """Pass ``task`` through, noting each yielded action and the payload sent back."""
+#: ``_TRACE_MIN_WAVE`` under which every wave is traced / none is.
+BODIES = {"traced": 1, "live": sys.maxsize}
+
+
+def spy(task, log, store):
+    """Pass ``task`` through, noting each yielded action and the payload sent
+    back — a ``Segment`` as its plain actions, payloads read from ``store``."""
     value = None
     while True:
         try:
@@ -143,12 +158,19 @@ def spy(task, log):
         except StopIteration as stop:
             return stop.value
         value = yield action
-        log.append((action, value))
+        if isinstance(action, Segment):
+            assert value is None
+            for plain in action.expand():
+                reads = type(plain) is ReadBatch
+                log.append((plain, store.read_many(plain.requests) if reads else None))
+        else:
+            log.append((action, value))
 
 
 def drive(index, engine, queries, workers=1, **kwargs):
     logs = [[] for _ in range(len(queries))]
-    tasks = [spy(task, log) for task, log in zip(index.query_tasks(queries, **kwargs), logs)]
+    tasks = index.query_tasks(queries, **kwargs)
+    tasks = [spy(task, log, index.built.store) for task, log in zip(tasks, logs)]
     result = engine.run(tasks, workers=workers)
     return result, logs, [device.stats for device in engine.volume.devices]
 
@@ -156,9 +178,11 @@ def drive(index, engine, queries, workers=1, **kwargs):
 def assert_same(got, want):
     (result, logs, devices), (ref_result, ref_logs, ref_devices) = got, want
     assert logs == ref_logs  # every action, every payload, in order
-    for answer, ref in zip(result.results, ref_result.results):
+    for answer, ref in zip(result.results, ref_result.results, strict=True):
         assert answer.ids.dtype == ref.ids.dtype == np.int64
         assert answer.ids.tolist() == ref.ids.tolist()
+        # Bytes: one ``einsum`` over many rows' candidates is one per row.
+        assert answer.distances.dtype == ref.distances.dtype == np.float64
         assert answer.distances.tobytes() == ref.distances.tobytes()
         # json: equal values in equal order, and plain ints (a NumPy scalar raises).
         assert json.dumps(dataclasses.asdict(answer.stats)) == json.dumps(
@@ -170,11 +194,23 @@ def assert_same(got, want):
     assert devices == ref_devices
 
 
-def compare(index, queries, budget=None, count=1, workers=1, **kwargs):
-    new, old = twins(index, budget)
-    engine, ref_engine = engines(index.built.store, count)
-    got = drive(new, engine, queries, workers, **kwargs)
-    assert_same(got, drive(old, ref_engine, queries, workers, **kwargs))
+def compare(index, queries, budget=None, count=1, workers=1, cells=None, **kwargs):
+    """Both production bodies against the reference; ``cells`` is the traced
+    body's bitmap budget (rows per batch times objects).  Returns the traced run."""
+    _, old = twins(index, budget)
+    want = drive(old, engines(index.built.store, count)[1], queries, workers, **kwargs)
+    distinct = len({row.tobytes() for row in np.asarray(queries, dtype=np.float32)})
+    for body in ("live", "traced"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(e2lshos, "_TRACE_MIN_WAVE", BODIES[body])
+            if cells is not None:
+                patch.setattr(e2lshos, "_TRACE_BITMAP_CELLS", cells)
+            new, _ = twins(index, budget)
+            got = drive(new, engines(index.built.store, count)[0], queries, workers, **kwargs)
+        assert_same(got, want)
+        info = new.query_cache_info()
+        assert info["traced"] == (distinct if body == "traced" else 0)
+        assert sum(info[how] for how in ("live", "recorded", "traced", "replayed")) == len(queries)
     return got
 
 
@@ -272,6 +308,15 @@ def test_k_past_n_an_id_map_a_stop_k_and_three_workers_on_four_devices(which):
     compare(index, grid, budget=7, k=2, stop_k=5, workers=2)
 
 
+def both_bodies_raise(index, queries, message):
+    for min_wave in BODIES.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(e2lshos, "_TRACE_MIN_WAVE", min_wave)
+            new, _ = twins(index)
+            with pytest.raises(ValueError, match=message):
+                drive(new, engines(index.built.store)[0], queries)
+
+
 def test_a_corrupt_count_is_a_named_value_error():
     grid, index, _ = crafted()
     index = copy.deepcopy(index)
@@ -279,12 +324,35 @@ def test_a_corrupt_count_is_a_named_value_error():
     batch = [action for action, _ in log if type(action) is ReadBatch][1]
     address, _ = batch.requests[1]
     index.built.store.write(address + 8, (99).to_bytes(2, "little"))
-    new, old = twins(index)
-    engine, ref_engine = engines(index.built.store)
-    with pytest.raises(ValueError, match="block 1 of the batch claims 99 entries but is only 31"):
-        drive(new, engine, grid[:1])
+    both_bodies_raise(index, grid[:1], "block 1 of the batch claims 99 entries but is only 31")
+    _, old = twins(index)
     with pytest.raises(ValueError, match="block claims 99 entries but is only 31 bytes"):
-        drive(old, ref_engine, grid[:1])
+        drive(old, engines(index.built.store)[1], grid[:1])
+
+
+def test_a_stored_id_past_the_data_is_a_named_value_error():
+    """An id the codec can hold but the data cannot (corrupt block, store and
+    data out of step): refused before anything is scored, not an
+    ``IndexError`` from the seen-bitmap, nor a mark in the next row's."""
+    grid, index, _ = crafted()
+    index = copy.deepcopy(index)
+    store, codec, n = index.built.store, index.built.codec, index.data.shape[0]
+    assert n + 3 < 1 << codec.id_bits
+    log = compare(index, grid[:1], budget=10_000)[1][0]
+    matches, _, fingerprints, chained = first_round(index, grid[0], log)
+    batch = [action for action, _ in log if type(action) is ReadBatch][1]
+    at = next(j for j, count in enumerate(matches) if count)
+    address, _ = batch.requests[at]
+    block = decode_block(codec, store.read(address, BLOCK))
+    entry = int(np.flatnonzero(block.fingerprints == fingerprints[chained[at]])[-1])
+    stray = codec.pack(np.array([n + 3]), block.fingerprints[entry : entry + 1])
+    store.write(address + BLOCK_HEADER_SIZE + entry * OBJECT_INFO_SIZE, stray)
+    message = f"block at {address} holds object id {n + 3}; the index has {n} objects"
+    both_bodies_raise(index, grid[:1], message)
+    both_bodies_raise(index, np.vstack([grid[3:6], grid[:1]]), message)
+    _, old = twins(index)
+    with pytest.raises(IndexError):
+        drive(old, engines(store)[1], grid[:1])
 
 
 @functools.cache
@@ -319,6 +387,79 @@ def test_drawn_indices_budgets_and_task_shapes(
     id_map = 9000 + np.arange(index.data.shape[0], dtype=np.int64)[::-1] if mapped else None
     queries = grid + np.float32(jitter)
     compare(index, queries, budget, count, workers, k=k, stop_k=stop_k, id_map=id_map)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 5),
+    picks=st.lists(st.integers(0, 40), min_size=1, max_size=14),
+    tiles=st.integers(1, 3),
+    min_wave=st.integers(1, 8),
+    rows_per_batch=st.integers(1, 5),
+    budget=st.integers(1, 40),
+    k=st.integers(1, 6),
+    workers=st.integers(1, 2),
+)
+def test_drawn_wave_shapes_around_the_trace_threshold_and_the_row_batch_boundary(
+    seed, picks, tiles, min_wave, rows_per_batch, budget, k, workers
+):
+    """Waves of 1-14 distinct-or-not rows, tiled as ``run_e2lshos(repeat>1)``
+    tiles them, against thresholds 1-8 and row batches of 1-5: below, at and
+    above the threshold, a last batch of one row, duplicates across batches."""
+    grid, index = drawn(seed)
+    pool = np.vstack([grid, grid + np.float32(0.25), grid + np.float32(1.0)])
+    queries = np.tile(pool[[pick % len(pool) for pick in picks]], (tiles, 1))
+    distinct = len({row.tobytes() for row in queries})
+    _, old = twins(index, budget)
+    want = drive(old, engines(index.built.store)[1], queries, workers, k=k)
+    batches, real = [], E2LSHoSIndex._trace_rows
+
+    def trace_rows(index, plan, entries):
+        batches.append([entry.row for entry in entries])
+        real(index, plan, entries)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(e2lshos, "_TRACE_MIN_WAVE", min_wave)
+        patch.setattr(e2lshos, "_TRACE_BITMAP_CELLS", rows_per_batch * index.data.shape[0])
+        patch.setattr(E2LSHoSIndex, "_trace_rows", trace_rows)
+        new, _ = twins(index, budget)
+        got = drive(new, engines(index.built.store)[0], queries, workers, k=k)
+    assert_same(got, want)
+    info = new.query_cache_info()
+    if distinct >= min_wave:  # every first sight traced, every duplicate a replay of it
+        assert (info["traced"], info["replayed"]) == (distinct, len(queries) - distinct)
+        assert info["live"] == info["recorded"] == 0
+        # Each distinct row once, in batches the bitmap's cell budget holds.
+        assert sum(batches, []) == list(range(distinct))
+        assert max(map(len, batches)) <= rows_per_batch
+    else:
+        assert info["traced"] == info["replayed"] == 0 and not batches
+        assert info["live"] + info["recorded"] == len(queries)
+
+
+def test_one_traced_wave_holds_rows_that_part_ways():
+    """What lockstep must keep apart, witnessed in single waves: rows that
+    stop at different rungs, a row whose budget runs out inside a block
+    beside one whose budget outlasts the round, and a row with no candidate."""
+    grid, index, _ = crafted()
+    far = np.full((1, D), 1e6, dtype=np.float32)
+    queries = np.vstack([grid, far, grid[:4] + np.float32(0.25)])
+    mid_block_beside_ample = 0
+    for budget in range(1, 31):
+        cells = 5 * index.data.shape[0]  # rows traced five at a time
+        result, logs, _ = compare(index, queries, budget=budget, cells=cells, k=3)
+        nobody = result.results[len(grid)]
+        assert nobody.ids.size == nobody.distances.size == nobody.stats.candidates_checked == 0
+        assert (nobody.ids.dtype, nobody.distances.dtype) == (np.int64, np.float64)
+        assert len({answer.stats.rungs_searched for answer in result.results}) >= 3
+        fates = []
+        for query, log in zip(grid, logs):
+            cum = np.cumsum(first_round(index, query, log)[0]).tolist()
+            inside = any(before < budget < after for before, after in zip([0] + cum, cum))
+            fates.append("inside" if inside else "ample" if cum[-1] < budget else "other")
+        pairs = set(zip(fates, fates[1:]))
+        mid_block_beside_ample += ("inside", "ample") in pairs and ("ample", "inside") in pairs
+    assert mid_block_beside_ample >= 3
 
 
 # -- (b) booking -----------------------------------------------------------------------

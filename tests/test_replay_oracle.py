@@ -22,12 +22,19 @@ A replay yields its trace one ``Segment`` per I/O wait; the spy notes a
 segment as the plain actions it stands for, so "yielded actions" still
 compare one for one with the live body's, and keeps where each
 resumption ended beside them.
+
+A wave of ``_TRACE_MIN_WAVE`` fresh rows or more gets its trace at plan
+time (``_trace_rows``), so its rows are replays from first sight; the
+streams here plan waves of 1-6 rows and stay below it unless a case patches
+the constant (``tests/test_query_oracle.py`` holds the tracer to the live
+body action for action).
 """
 
 import copy
 import dataclasses
 import functools
 import json
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -41,6 +48,9 @@ import repro.core.e2lshos as e2lshos
 from repro.core.e2lshos import E2LSHoSIndex
 from repro.core.params import E2LSHParams
 from repro.core.updates import IndexUpdater
+from repro.obs.trace import SpanTracer
+from repro.serving.catalog import build_scenario
+from repro.serving.scenario import run_scenario
 from repro.storage.blockstore import MemoryBlockStore
 from repro.storage.engine import Compute, ReadBatch, Segment
 from repro.storage.page_cache import PageCache
@@ -224,9 +234,10 @@ def assert_same_run(got, want):
     assert got.engine == want.engine
     assert got.yielded == want.yielded
     # The reference really is live-only, and every task is accounted for.
-    assert want.info["replayed"] == want.info["converted"] == 0
-    assert sum(got.info[how] for how in ("live", "recorded", "replayed")) == len(got.tasks)
-    assert got.info["replayed"] == sum(replay for _, replay in got.tasks)
+    assert want.info["traced"] == want.info["replayed"] == want.info["converted"] == 0
+    created = sum(got.info[how] for how in ("live", "recorded", "traced", "replayed"))
+    assert created == len(got.tasks)
+    assert got.info["traced"] + got.info["replayed"] == sum(replay for _, replay in got.tasks)
 
 
 def seeded_stream(seed, n_waves=18):
@@ -365,6 +376,44 @@ def test_a_parked_replay_becomes_the_live_body(state):
     before = next(c for c in dry.completions if c[0] == task)
     after = next(c for c in got.completions if c[0] == task)
     assert (before[4:7] == after[4:7]) == (state == "after-last")
+
+
+@pytest.mark.parametrize("state", ["unstarted", "mid-trace", "after-last"])
+def test_a_parked_traced_row_becomes_the_live_body(state, monkeypatch):
+    """The same for rows traced at plan time: one wave, every row at first
+    sight, so each task is the replay of a trace no live body ever yielded."""
+    monkeypatch.setattr(e2lshos, "_TRACE_MIN_WAVE", POOL)
+    stream = [(0.0, tuple(range(POOL)), 1)]
+    dry = drive(fresh_index(), stream)
+    assert dry.info == {"live": 0, "recorded": 0, "traced": POOL, "replayed": 0, "converted": 0}
+    step, task = parked_replay(dry, state)
+    mutations = {step: [("insert", dry.tasks[task][0])]}
+    got = drive(fresh_index(), stream, mutations)
+    with never_replay():  # traced, but the trace is never taken up
+        want = drive(fresh_index(), stream, mutations)
+    assert_same_run(got, want)
+    assert got.info["traced"] == POOL and 1 <= got.info["converted"] <= POOL, got.info
+    before = next(c for c in dry.completions if c[0] == task)
+    after = next(c for c in got.completions if c[0] == task)
+    assert (before[4:7] == after[4:7]) == (state == "after-last")
+
+
+def test_every_task_created_is_counted_once(monkeypatch):
+    """Waves below and above the line, first sights, duplicates inside a
+    traced wave and recurrences of traced and of live rows."""
+    monkeypatch.setattr(e2lshos, "_TRACE_MIN_WAVE", 3)
+    stream = [
+        (0.0, (0, 1), 0),  # two first sights, below the line: live
+        (1e7, (0, 1, 2, 3, 4, 2, 4, 4), 0),  # 3 fresh rows: traced; 0, 1 recorded; 3 duplicates
+        (2e7, (5, 0, 2), 0),  # one fresh row: live; 0 and 2 replayed
+        (3e7, (0, 2, 5), 1),  # another (k, stop_k): three fresh rows, traced
+    ]
+    got = drive(fresh_index(), stream)
+    assert got.info == {"live": 3, "recorded": 2, "traced": 6, "replayed": 5, "converted": 0}
+    assert sum(got.info.values()) == len(got.tasks) == 16
+    with never_replay():
+        want = drive(fresh_index(), stream)
+    assert_same_run(got, want)
 
 
 #: (when, as a fraction of the undisturbed run's steps; what) — an insert
@@ -518,6 +567,47 @@ def test_catalog_scenarios_equal_the_live_only_runs(name):
             assert answer.stats == other.answers[qid].stats
 
 
+def test_a_serving_run_with_traced_waves_under_ingest_equals_the_untraced_run(monkeypatch):
+    """Lanes that flush ``_TRACE_MIN_WAVE`` rows and more beside inserts,
+    deletes and merges: traced rows are in flight at every invalidation.
+    (Open loop: the scenario format has no ingest mix for a closed one.)"""
+    base = build_scenario("steady-ingest", quick=True)
+    spec = dataclasses.replace(
+        base,
+        data=dataclasses.replace(base.data, pool_queries=96),
+        serving=dataclasses.replace(base.serving, max_batch=32, batch_delay_us=1000.0),
+        workload=dataclasses.replace(
+            base.workload, requests=96, qps=80_000.0, zipf_s=0.0,
+            ingest_requests=48, ingest_qps=20_000.0,
+        ),
+    )
+    assert spec.serving.max_batch >= e2lshos._TRACE_MIN_WAVE
+
+    def run():
+        tracer = SpanTracer()
+        result = run_scenario(spec, tracer=tracer, metrics_interval_ns=50_000.0)
+        info = [shard.index.query_cache_info() for shard in result.index.sharded.shards]
+        return result, tracer, {how: sum(shard[how] for shard in info) for how in info[0]}
+
+    result, tracer, info = run()
+    # Every conversion was of a traced row: nothing recurred often enough to replay.
+    assert info["traced"] > 200 and info["converted"] > 10 and info["replayed"] == 0, info
+    monkeypatch.setattr(e2lshos, "_TRACE_MIN_WAVE", sys.maxsize)
+    other, other_tracer, other_info = run()
+    assert other_info["traced"] == other_info["converted"] == 0
+    assert sum(info.values()) - info["converted"] == sum(other_info.values())
+    assert json.dumps(dataclasses.asdict(result.report), sort_keys=True) == json.dumps(
+        dataclasses.asdict(other.report), sort_keys=True
+    )
+    assert trace_dump(tracer) == trace_dump(other_tracer)
+    assert result.service.timeline.samples == other.service.timeline.samples
+    assert result.answers.keys() == other.answers.keys()
+    for qid, answer in result.answers.items():
+        assert answer.ids.tolist() == other.answers[qid].ids.tolist()
+        assert answer.distances.tobytes() == other.answers[qid].distances.tobytes()
+        assert answer.stats == other.answers[qid].stats
+
+
 # -- (5) the blocking page-cache walk ---------------------------------------------------
 
 
@@ -534,7 +624,7 @@ def test_mmap_sync_runs_are_identical():
         )
         runs.append(index.run(pool, mode="mmap_sync", cache=cache, k=3))
     assert index.query_cache_info() == {
-        "live": POOL, "recorded": POOL, "replayed": POOL, "converted": 0,
+        "live": POOL, "recorded": POOL, "traced": 0, "replayed": POOL, "converted": 0,
     }
     first = runs[0]
     for other in runs[1:]:
@@ -545,6 +635,34 @@ def test_mmap_sync_runs_are_identical():
         for field in dataclasses.fields(first.engine):
             if field.name != "results":
                 assert getattr(first.engine, field.name) == getattr(other.engine, field.name)
+
+
+def test_mmap_sync_over_a_traced_wave_shows_the_page_cache_every_request(monkeypatch):
+    pool = base()[1]
+    runs = []
+    for min_wave in (sys.maxsize, POOL):
+        monkeypatch.setattr(e2lshos, "_TRACE_MIN_WAVE", min_wave)
+        index = fresh_index()
+        cache = PageCache(
+            volume=make_volume("cssd", 1),
+            store=index.built.store,
+            interface=INTERFACE_PROFILES["mmap_sync"],
+            capacity_bytes=1 << 16,
+        )
+        batch = index.run(pool, mode="mmap_sync", cache=cache, k=3)
+        assert index.query_cache_info()["traced"] == (POOL if min_wave == POOL else 0)
+        runs.append((batch, cache.stats))
+    (live, live_cache), (traced, traced_cache) = runs
+    # Every request touched at least its one page, hit or miss.
+    assert live_cache == traced_cache and traced_cache.accesses >= traced.engine.io_count > 0
+    assert traced.engine.io_count == sum(answer.stats.ios_issued for answer in traced.answers)
+    for mine, theirs in zip(live.answers, traced.answers, strict=True):
+        assert mine.ids.tolist() == theirs.ids.tolist()
+        assert mine.distances.tobytes() == theirs.distances.tobytes()
+        assert mine.stats == theirs.stats
+    for field in dataclasses.fields(live.engine):
+        if field.name != "results":
+            assert getattr(live.engine, field.name) == getattr(traced.engine, field.name)
 
 
 # -- (6) what a replay shares with the memo ---------------------------------------------

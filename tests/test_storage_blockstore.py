@@ -1,5 +1,6 @@
 """Tests for repro.storage.blockstore."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,3 +115,49 @@ def test_read_many_names_the_request_outside_the_store_and_leaves_it_growable(st
     assert store.read_many([(0, 4)]) == [b"\x00" * 4]
     assert store.allocate(1 << 16) == 32
     assert store.read(32, 4) == b"\x00" * 4
+
+
+def test_read_matrix_is_read_many_of_equal_spans_byte_for_byte(store):
+    address = store.allocate(200)
+    store.write(address, bytes(range(200)))
+    for nbytes in (1, 8, 31, 200):
+        starts = [200 - nbytes, 0, (200 - nbytes) // 2, 0, 200 - nbytes]
+        for addresses in (starts, np.array(starts), np.array(starts, dtype=np.uint64)):
+            matrix = store.read_matrix(addresses, nbytes)
+            assert matrix.dtype == np.uint8 and matrix.shape == (5, nbytes)
+            assert [row.tobytes() for row in matrix] == store.read_many(
+                [(start, nbytes) for start in starts]
+            )
+    empty = store.read_matrix([], 512)  # wider than the store: nothing is read
+    assert empty.dtype == np.uint8 and empty.shape == (0, 512)
+    assert store.read_matrix(np.empty(0, dtype=np.int64), 8).shape == (0, 8)
+
+
+def test_read_matrix_names_the_bad_request_reads_nothing_and_leaves_the_store_growable(
+    store, monkeypatch
+):
+    store.allocate(32)
+    reads, real = [], store._read
+
+    def noted_read(address, nbytes):
+        reads.append(address)
+        return real(address, nbytes)
+
+    monkeypatch.setattr(store, "_read", noted_read)
+    with pytest.raises(ValueError, match=r"request 2 of the batch: span \[30, 34\) outside"):
+        store.read_matrix([0, 8, 30, 40], 4)
+    with pytest.raises(ValueError, match=r"request 1 of the batch: span \[-1, 3\) outside"):
+        store.read_matrix(np.array([0, -1, -2]), 4)
+    with pytest.raises(ValueError, match="request 0 of the batch: span"):
+        store.read_matrix(np.array([1 << 63], dtype=np.uint64), 4)
+    with pytest.raises(ValueError, match="request 0 of the batch: span"):
+        store.read_matrix([0], 33)
+    for nbytes in (0, -8):
+        with pytest.raises(ValueError, match=f"request 0 of the batch: length must be .* {nbytes}"):
+            store.read_matrix([0, 4], nbytes)
+    assert reads == []
+    monkeypatch.undo()
+    # Neither a finished nor a failed gather keeps the buffer pinned.
+    assert store.read_matrix([0, 28], 4).tolist() == [[0] * 4] * 2
+    assert store.allocate(1 << 16) == 32
+    assert store.read_matrix([32], 4).tobytes() == b"\x00" * 4
